@@ -326,6 +326,16 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) *
 // loaded dependencies), and returns its diagnostics. It is the
 // testing-free entry point used by the cmd/bloomvet standalone driver.
 func (l *Loader) Analyze(a *analysis.Analyzer, path string) ([]analysis.Diagnostic, error) {
+	if _, err := l.Result(a, path); err != nil {
+		return nil, err
+	}
+	return l.pkgs[path].diags[a], nil
+}
+
+// Result loads the package at the import path through the loader's roots,
+// applies the analyzer, and returns its result. It lets tests assert what
+// an analyzer recognised, not only what it reported.
+func (l *Loader) Result(a *analysis.Analyzer, path string) (interface{}, error) {
 	tp, err := l.Import(path)
 	if err != nil {
 		return nil, fmt.Errorf("loading %s: %v", path, err)
@@ -334,10 +344,7 @@ func (l *Loader) Analyze(a *analysis.Analyzer, path string) ([]analysis.Diagnost
 	if !ok {
 		return nil, fmt.Errorf("loading %s: resolved outside the loader roots", path)
 	}
-	if _, err := l.run(a, p); err != nil {
-		return nil, err
-	}
-	return p.diags[a], nil
+	return l.run(a, p)
 }
 
 // Check loads the given packages from their prefix roots, applies the

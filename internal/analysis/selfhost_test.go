@@ -10,10 +10,12 @@ package analysis_test
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atest"
+	"repro/internal/analysis/seqlock"
 )
 
 var selfhostPkgs = []string{
@@ -59,4 +61,17 @@ func TestSelfHost(t *testing.T) {
 			}
 		})
 	}
+	// A clean seqlock run proves nothing about a register the analyzer
+	// does not recognise: pin that it checks register.Seqlock's Write
+	// and Read, so a layout change cannot drop them out of checking.
+	t.Run("seqlock-coverage", func(t *testing.T) {
+		res, err := l.Result(seqlock.Analyzer, "repro/internal/register")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &seqlock.Roles{Writers: []string{"Write"}, Readers: []string{"Read"}}
+		if got := res.(seqlock.Result)["Seqlock"]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("seqlock analyzer checked register.Seqlock as %+v, want %+v", got, want)
+		}
+	})
 }

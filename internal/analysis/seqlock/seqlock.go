@@ -39,12 +39,19 @@
 // repeats the correctly-ordered body). Constructors are exempt: they are
 // free functions, not methods, and initialize slots before the value is
 // shared.
+//
+// A struct the analyzer does not recognise, or a method whose slot
+// accesses it cannot see (a slot reached through a slice expression, say),
+// is simply not checked, and nothing is reported. The analyzer's Result
+// therefore names every struct it recognised and the methods it checked
+// as writers and readers, so tests can pin that a register is covered.
 package seqlock
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -57,10 +64,21 @@ const markVersion = "//bloom:seqlock-version"
 
 // Analyzer checks seqlock writer/reader version-counter discipline.
 var Analyzer = &analysis.Analyzer{
-	Name:     "seqlock",
-	Doc:      "check that seqlock writers bracket slot stores with the version counter and readers re-check it",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Name:       "seqlock",
+	Doc:        "check that seqlock writers bracket slot stores with the version counter and readers re-check it",
+	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Run:        run,
+	ResultType: reflect.TypeOf(Result(nil)),
+}
+
+// Result maps each seqlock struct the analyzer recognised in a package,
+// by type name, to the methods it checked in each role.
+type Result map[string]*Roles
+
+// Roles names, in source order, a seqlock struct's methods checked as
+// writers (they store into the slots) and as readers (they only load).
+type Roles struct {
+	Writers, Readers []string
 }
 
 // versionNames are field names treated as version counters.
@@ -108,8 +126,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	})
-	if len(seqlockStructs) == 0 {
-		return nil, nil
+	res := Result{}
+	for tn := range seqlockStructs {
+		res[tn.Name()] = &Roles{}
+	}
+	if len(res) == 0 {
+		return res, nil
 	}
 
 	// Pass 2: check each method of a seqlock struct.
@@ -122,10 +144,25 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if recv == nil || !seqlockStructs[recv] {
 			return
 		}
-		checkMethod(pass, fd, versionFields, slotFields)
+		roles := res[recv.Name()]
+		switch checkMethod(pass, fd, versionFields, slotFields) {
+		case writer:
+			roles.Writers = append(roles.Writers, fd.Name.Name)
+		case reader:
+			roles.Readers = append(roles.Readers, fd.Name.Name)
+		}
 	})
-	return nil, nil
+	return res, nil
 }
+
+// role is what checkMethod found a method to be.
+type role int
+
+const (
+	neither role = iota
+	writer
+	reader
+)
 
 // event is one classified atomic operation in a method body.
 type event struct {
@@ -144,7 +181,9 @@ const (
 	versionCmp
 )
 
-func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, versionFields, slotFields map[types.Object]bool) {
+// checkMethod checks one method of a seqlock struct and returns the role
+// it was checked in.
+func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, versionFields, slotFields map[types.Object]bool) role {
 	var events []event
 	// snapshots are local variables assigned from a version load (v1 :=
 	// r.version.Load()); comparisons against them count as re-checks.
@@ -273,7 +312,7 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, versionFields, slotField
 		if len(adds) == 0 {
 			pass.Reportf(fd.Name.Pos(),
 				"seqlock writer %s stores into the slots but never advances the version counter; readers cannot detect the torn window", name)
-			return
+			return writer
 		}
 		first, last := adds[0].pos, adds[len(adds)-1].pos
 		for _, s := range stores {
@@ -285,12 +324,13 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, versionFields, slotField
 					"seqlock writer %s stores into a slot before the version counter entered the write bracket; slot stores must sit between the two increments", name)
 			}
 		}
+		return writer
 	case len(loads) > 0:
 		// Reader discipline: a version re-check must follow the slot copy.
 		lastLoad := loads[len(loads)-1].pos
 		for _, c := range cmps {
 			if c.pos > lastLoad {
-				return // re-check after the copy: correct
+				return reader // re-check after the copy: correct
 			}
 		}
 		if len(cmps) == 0 {
@@ -300,7 +340,9 @@ func checkMethod(pass *analysis.Pass, fd *ast.FuncDecl, versionFields, slotField
 			pass.Reportf(fd.Name.Pos(),
 				"seqlock reader %s re-checks the version counter before the slot copy completes; the re-check must follow the last slot load", name)
 		}
+		return reader
 	}
+	return neither
 }
 
 // receiverTypeName resolves a method's receiver to the named type it is

@@ -133,6 +133,65 @@ func (r *aliased) readGood() uint64 { // clean: the hit counter is not a slot ac
 	}
 }
 
+// packed is the shape of internal/register.Seqlock: the version word
+// followed directly by one word array holding slot 0 then slot 1, each
+// slot word reached by an index expression, words[base+i].
+type packed struct {
+	version atomic.Uint64
+	words   [8]atomic.Uint64 // slot 0, then slot 1
+	nwords  int
+}
+
+func (r *packed) writeGood(vals [4]uint64) { // clean
+	n := r.nwords
+	v1 := r.version.Load()
+	base := int((v1+1)&1) * n
+	for i := 0; i < n; i++ {
+		r.words[base+i].Store(vals[i])
+	}
+	if r.version.Add(1) != v1+1 {
+		panic("concurrent writers")
+	}
+}
+
+func (r *packed) writeLate(vals [4]uint64) {
+	n := r.nwords
+	v1 := r.version.Load()
+	base := int((v1+1)&1) * n
+	if r.version.Add(1) != v1+1 {
+		panic("concurrent writers")
+	}
+	for i := 0; i < n; i++ {
+		r.words[base+i].Store(vals[i]) // want `stores into a slot after the version counter was published`
+	}
+}
+
+func (r *packed) readGood() [4]uint64 { // clean
+	n := r.nwords
+	for {
+		v1 := r.version.Load()
+		base := int(v1&1) * n
+		var out [4]uint64
+		for i := 0; i < n; i++ {
+			out[i] = r.words[base+i].Load()
+		}
+		if r.version.Load() == v1 {
+			return out
+		}
+	}
+}
+
+func (r *packed) readUnchecked() [4]uint64 { // want `copies the slots but never re-checks the version counter`
+	n := r.nwords
+	v1 := r.version.Load()
+	base := int(v1&1) * n
+	var out [4]uint64
+	for i := 0; i < n; i++ {
+		out[i] = r.words[base+i].Load()
+	}
+	return out
+}
+
 // notASeqlock has atomic words but no version counter; its methods are
 // unconstrained.
 type notASeqlock struct {

@@ -10,10 +10,20 @@ import (
 // real read of Reg¬i, the real write of Regi, and the acknowledgment.
 const WriterSteps = 3
 
+// cacheLine is the assumed coherence granularity (the same constant as
+// internal/register).
+const cacheLine = 64
+
 // Writer is the handle for one of the two writers. A Writer models a
 // sequential automaton: calls on one Writer must not overlap (calls on the
 // two distinct writers, and on any readers, run fully concurrently).
+//
+// Every write stores local, and New allocates the two handles back to
+// back. The pads on both sides keep a handle's fields off every line that
+// holds another object, so one writer's store never invalidates the line
+// the other writer reads its own handle from.
 type Writer[V comparable] struct {
+	_     [cacheLine]byte
 	tw    *TwoWriter[V]
 	i     int       // writer index, 0 or 1
 	local Tagged[V] // copy of own real register's content
@@ -21,6 +31,7 @@ type Writer[V comparable] struct {
 	// the local copy instead of shared memory (writer-as-reader
 	// optimization).
 	virtualReads int64
+	_            [cacheLine]byte
 }
 
 // Index returns the writer's identity i (0 or 1).

@@ -136,9 +136,12 @@ func (t *connTap) beginGated() (inv, handle int64) {
 }
 
 // recordGated journals one completed operation from a worker goroutine.
+// The record is built under the lock too: buildRec interns the register
+// name in the source's private cache, which is no safer to share between
+// workers than the ring.
 func (t *connTap) recordGated(req *wire.Request, resp *wire.Response, inv, handle int64) {
-	rec := t.buildRec(req, resp, inv)
 	t.mu.Lock()
+	rec := t.buildRec(req, resp, inv)
 	t.inflight[handle-t.base].done = true
 	for len(t.inflight) > 0 && t.inflight[0].done {
 		t.inflight = t.inflight[1:]

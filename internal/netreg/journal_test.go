@@ -157,6 +157,97 @@ func TestJournalWorkerModelsOnline(t *testing.T) {
 	}
 }
 
+// TestJournalGatedTapConcurrentOps opens several connections to each of
+// two named registers on each dispatching worker model and fires
+// concurrent pipelined ops down every one from the start, so a
+// connection's first records are built on different workers at once.
+// Building a record interns the register name in the connection's
+// source; under -race this fails unless the gated tap does that under its
+// lock. Every op must still be journaled, with nothing dropped.
+func TestJournalGatedTapConcurrentOps(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{
+		{"pool4", 4},
+		{"per-request", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := obs.NewJournal()
+			st, err := netreg.NewStore("a0", 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := netreg.AddRegister(st, "b", "b0", 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := netreg.Serve("127.0.0.1:0", st,
+				netreg.WithWorkers(tc.workers), netreg.WithJournal(j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			const (
+				connsPerReg = 4
+				callers     = 4
+				opsEach     = 20
+			)
+			var clients []*netreg.Client[string]
+			for k := 0; k < connsPerReg; k++ {
+				for _, reg := range []string{"", "b"} {
+					opts := []netreg.DialOption{netreg.WithTimeout(5 * time.Second)}
+					if reg != "" {
+						opts = append(opts, netreg.WithRegister(reg))
+					}
+					c, err := netreg.Dial[string](srv.Addr(), opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					clients = append(clients, c)
+				}
+			}
+			var wg sync.WaitGroup
+			for ci, c := range clients {
+				for g := 0; g < callers; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < opsEach; i++ {
+							var err error
+							if i%2 == 0 {
+								_, err = c.WriteErr(fmt.Sprintf("c%d-g%d-i%d", ci, g, i))
+							} else {
+								_, _, err = c.ReadErr(0)
+							}
+							if err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+			}
+			wg.Wait()
+			for _, c := range clients {
+				c.Close()
+			}
+			srv.Close() // taps close once their workers drain
+
+			if j.Drops() != 0 {
+				t.Fatalf("journal dropped %d records", j.Drops())
+			}
+			total := 0
+			for _, s := range j.Sources() {
+				s.Drain(func(obs.Rec) { total++ })
+			}
+			if want := len(clients) * callers * opsEach; total != want {
+				t.Fatalf("journaled %d ops, want %d", total, want)
+			}
+		})
+	}
+}
+
 // TestJournalFlagsDedupReplays re-sends an applied write (same client
 // and seq — what a retrying client does after losing a response) and
 // checks the replay is journaled flagged: the original record already

@@ -14,7 +14,8 @@
 //     (the allocator is visited once per chunk of snapshots); a read is
 //     one atomic load plus a dereference. Both are wait-free for any T.
 //   - Seqlock[T] keeps the value inline in two alternating slots of atomic
-//     words under a version counter (a double-buffered seqlock). Writes are
+//     words packed behind a version counter (a double-buffered seqlock),
+//     so a register of up to three words is one cache line. Writes are
 //     alloc-free and wait-free; reads are alloc-free and retry only when
 //     two writes land inside one read, which the single-writer discipline
 //     makes rare and bounded in practice. T must be pointer-free (checked
@@ -156,6 +157,19 @@ const seqlockMaxWords = 32
 // increment; reads are alloc-free and lock-free, with retries bounded by
 // the writer's progress.
 //
+// The version word is followed directly by both slots, packed into one
+// word array: slot s is words[s*nwords : (s+1)*nwords]. On 64-bit
+// platforms a Seqlock's 536 bytes round up to the allocator's 576-byte
+// size class, nine whole cache lines, so every Seqlock starts on a line
+// boundary, and for values of up to three words the version and both
+// slots share that first line. One real access then moves exactly one
+// line between cores: a write dirties one line, and a read after a
+// foreign write misses once. Giving the version and the slots lines of
+// their own would keep the writer's stores off the line a reader is
+// copying from, but every access would then miss twice instead of once.
+// The layout is the same for every value size; larger values run on into
+// the following lines.
+//
 // Because readers copy raw words while a writer may be mid-store, the
 // value type must be pointer-free (a torn pointer must never materialize,
 // even transiently); NewSeqlock rejects types containing pointers, and the
@@ -164,8 +178,7 @@ const seqlockMaxWords = 32
 // The zero value is not usable; use NewSeqlock.
 type Seqlock[T any] struct {
 	version atomic.Uint64
-	_       [cacheLine - 8]byte // keep readers' version polling off the data words
-	slots   [2][]atomic.Uint64
+	words   [2 * seqlockMaxWords]atomic.Uint64 // slot 0, then slot 1
 	nwords  int
 	c       *Counters // nil unless WithCounters
 }
@@ -202,14 +215,7 @@ func NewSeqlock[T any](ports int, initial T, opts ...FastOption) (*Seqlock[T], e
 	if nwords > seqlockMaxWords {
 		return nil, fmt.Errorf("register: seqlock value type %v is %d bytes, max %d", t, size, 8*seqlockMaxWords)
 	}
-	// Pad each slot to whole cache lines so the writer mutating one slot
-	// never invalidates the line a reader is copying from the other.
-	slotWords := ((nwords*8 + cacheLine - 1) / cacheLine) * (cacheLine / 8)
-	backing := make([]atomic.Uint64, 2*slotWords)
-	r := &Seqlock[T]{
-		slots:  [2][]atomic.Uint64{backing[:slotWords], backing[slotWords:]},
-		nwords: nwords,
-	}
+	r := &Seqlock[T]{nwords: nwords}
 	if cfg.counters {
 		r.c = newCounters(ports)
 	}
@@ -218,7 +224,7 @@ func NewSeqlock[T any](ports int, initial T, opts ...FastOption) (*Seqlock[T], e
 	p := unsafe.Pointer(&buf)
 	for i := 0; i < nwords; i++ {
 		// Version starts at 0, so readers start on slot 0.
-		r.slots[0][i].Store(*(*uint64)(unsafe.Add(p, i*8)))
+		r.words[i].Store(*(*uint64)(unsafe.Add(p, i*8)))
 	}
 	return r, nil
 }
@@ -247,11 +253,12 @@ func (r *Seqlock[T]) Read(port int) T {
 	}
 	var buf wordBuf[T]
 	p := unsafe.Pointer(&buf)
+	n := r.nwords
 	for spins := 0; ; spins++ {
 		v1 := r.version.Load()
-		slot := r.slots[v1&1]
-		for i := 0; i < r.nwords; i++ {
-			*(*uint64)(unsafe.Add(p, i*8)) = slot[i].Load()
+		base := int(v1&1) * n
+		for i := 0; i < n; i++ {
+			*(*uint64)(unsafe.Add(p, i*8)) = r.words[base+i].Load()
 		}
 		if r.version.Load() == v1 {
 			return buf.val
@@ -278,10 +285,11 @@ func (r *Seqlock[T]) Write(v T) {
 	var buf wordBuf[T]
 	buf.val = v
 	p := unsafe.Pointer(&buf)
+	n := r.nwords
 	v1 := r.version.Load()
-	slot := r.slots[(v1+1)&1] // the slot readers are not directed to
-	for i := 0; i < r.nwords; i++ {
-		slot[i].Store(*(*uint64)(unsafe.Add(p, i*8)))
+	base := int((v1+1)&1) * n // the slot readers are not directed to
+	for i := 0; i < n; i++ {
+		r.words[base+i].Store(*(*uint64)(unsafe.Add(p, i*8)))
 	}
 	if r.version.Add(1) != v1+1 {
 		panic("register: concurrent writes to a single-writer register")

@@ -320,7 +320,8 @@ func (e *econn) lastError() error {
 
 // dispatch is the connection's owner goroutine: serve the submission
 // ring over one connection generation, tear the generation down on any
-// fault, redial with backoff, repeat. It exits only on Close.
+// fault, redial with backoff, repeat. It exits only on Close. Dial marks
+// the first generation up; dispatch marks each redialed one.
 func (e *econn) dispatch(conn net.Conn) {
 	defer close(e.done)
 	bw := bufio.NewWriterSize(conn, engineBufSize)
@@ -328,7 +329,6 @@ func (e *econn) dispatch(conn net.Conn) {
 	var req wire.Request
 	req.Reg = e.q.reg
 	for {
-		e.up.Store(true)
 		readerEnd := make(chan struct{})
 		go e.readLoop(conn, readerEnd)
 		e.serve(conn, wr, &req, readerEnd)
@@ -348,6 +348,7 @@ func (e *econn) dispatch(conn net.Conn) {
 			return
 		}
 		bw.Reset(conn)
+		e.up.Store(true)
 	}
 }
 
@@ -656,6 +657,10 @@ func Dial(addrs []string, o Options) (*QClient, error) {
 			return nil, fmt.Errorf("replica: dialing %s: %w", a, err)
 		}
 		q.conns = append(q.conns, e)
+		// The socket is open, so the connection is up now: an op issued
+		// as soon as Dial returns queues on the ring for the dispatcher
+		// instead of failing fast as if the replica were down.
+		e.up.Store(true)
 		go e.dispatch(conn)
 	}
 	return q, nil

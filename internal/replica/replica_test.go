@@ -106,6 +106,36 @@ func TestQuorumModesReadWrite(t *testing.T) {
 	}
 }
 
+// TestOpRightAfterDial issues a write and a read the instant Dial
+// returns, many times over, in every mode. None may fail: Dial must hand
+// back a client whose connections already count as up, not one whose
+// dispatchers have yet to mark them (an op that beat them failed at once
+// with ErrNoQuorum).
+func TestOpRightAfterDial(t *testing.T) {
+	c := startCluster(t, 3, "v0")
+	modes := []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFrugal}
+	for k := 0; k < 300; k++ {
+		mode := modes[k%len(modes)]
+		q, err := replica.Dial(c.addrs, replica.Options{Mode: mode, WriterID: 1, Timeout: fastTimeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(fmt.Sprintf("v%d", k+1))
+		_, _, werr := q.WriteStamped(want)
+		got, rerr := q.Read()
+		q.Close()
+		if werr != nil {
+			t.Fatalf("dial %d (%v): write right after Dial: %v", k, mode, werr)
+		}
+		if rerr != nil {
+			t.Fatalf("dial %d (%v): read: %v", k, mode, rerr)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("dial %d (%v): read %s, want %s", k, mode, got, want)
+		}
+	}
+}
+
 func stampAfter(ts int64, wid uint32, ts2 int64, wid2 uint32) bool {
 	return ts > ts2 || (ts == ts2 && wid > wid2)
 }
@@ -168,8 +198,8 @@ func TestFrugalBytes(t *testing.T) {
 	val, _ := json.Marshal(string(big))
 
 	read := func(mode replica.Mode) int64 {
-		ws := obs.NewWire()
-		q, err := replica.Dial(c.addrs, replica.Options{Mode: mode, WriterID: 7, Timeout: fastTimeout, Wire: ws})
+		ws, tally := obs.NewWire(), obs.NewReplica(3)
+		q, err := replica.Dial(c.addrs, replica.Options{Mode: mode, WriterID: 7, Timeout: fastTimeout, Wire: ws, Tally: tally})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,6 +210,30 @@ func TestFrugalBytes(t *testing.T) {
 		for k := 0; k < 10; k++ {
 			if _, err := q.Read(); err != nil {
 				t.Fatal(err)
+			}
+		}
+		// A round completes at a majority, so the slowest replica's
+		// requests can still be queued or in flight here. Count what the
+		// protocol pulls, not what arrived first: wait until no frame is
+		// outstanding and every replica has answered every counted round.
+		// Each counted round fans out to every replica; a frugal read's
+		// single-replica fetch is not a counted round, and the read waits
+		// for it anyway.
+		rounds := tally.Rounds(obs.QRead) + tally.Rounds(obs.QWrite)
+		answered := func() bool {
+			if in, out := ws.Frames(); in != out {
+				return false
+			}
+			for i := 0; i < 3; i++ {
+				if ok, _ := tally.ReplicaHealth(i); ok < rounds {
+					return false
+				}
+			}
+			return true
+		}
+		for deadline := time.Now().Add(5 * time.Second); !answered(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%v: replicas never answered all %d rounds", mode, rounds)
 			}
 		}
 		in, _ := ws.Bytes()
