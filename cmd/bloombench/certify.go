@@ -220,7 +220,7 @@ func certifyGen(addr string, dur time.Duration) loadgen.Config {
 
 // certifyServer starts a journaled in-process server hosting the
 // workload's registers.
-func certifyServer(j *obs.Journal, workers int) (*netreg.Server, error) {
+func certifyServer(j *obs.Journal) (*netreg.Server, error) {
 	st, err := netreg.NewStore("x", 1, nil)
 	if err != nil {
 		return nil, err
@@ -230,7 +230,7 @@ func certifyServer(j *obs.Journal, workers int) (*netreg.Server, error) {
 			return nil, err
 		}
 	}
-	opts := []netreg.ServeOption{netreg.WithWorkers(workers)}
+	var opts []netreg.ServeOption
 	if j != nil {
 		opts = append(opts, netreg.WithJournal(j))
 	}
@@ -282,7 +282,7 @@ func drainInto(j *obs.Journal, h *linz.History, count *atomic.Int64, stop <-chan
 // operations and checks the whole history offline.
 func certifyOffline(ops int) (certOffline, error) {
 	j := obs.NewJournal(obs.WithJournalRing(1 << 17))
-	srv, err := certifyServer(j, 0)
+	srv, err := certifyServer(j)
 	if err != nil {
 		return certOffline{}, err
 	}
@@ -334,7 +334,7 @@ func certifyOffline(ops int) (certOffline, error) {
 // at half the measured peak — the regime the online mode is built for.
 func certifyOnline(ops int, peak float64) (certOnline, error) {
 	j := obs.NewJournal(obs.WithJournalRing(1 << 17))
-	srv, err := certifyServer(j, 0)
+	srv, err := certifyServer(j)
 	if err != nil {
 		return certOnline{}, err
 	}
@@ -399,7 +399,7 @@ func certifyOnline(ops int, peak float64) (certOnline, error) {
 func certifyOverhead(ops int) (certOverhead, error) {
 	dur := certifyDur(ops)
 	probe := func(j *obs.Journal) (float64, error) {
-		srv, err := certifyServer(j, 0)
+		srv, err := certifyServer(j)
 		if err != nil {
 			return 0, err
 		}
@@ -495,7 +495,7 @@ func certifyFaulty(ops int) (certFaulty, error) {
 			return certFaulty{}, err
 		}
 		journals[i] = obs.NewJournal()
-		srv, err := netreg.Serve("127.0.0.1:0", st, netreg.WithJournal(journals[i]), netreg.WithWorkers(4))
+		srv, err := netreg.Serve("127.0.0.1:0", st, netreg.WithJournal(journals[i]))
 		if err != nil {
 			return certFaulty{}, err
 		}

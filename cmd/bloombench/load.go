@@ -26,6 +26,11 @@ var loadShape = loadgen.Config{
 // in BENCH_net.json (351K ops/s) by at least 3x on the same hardware.
 const loadFloor = 3 * 351_000.0
 
+// minEnforceOps is the smallest op count at which the floor is enforced:
+// below it the measurement is noise-dominated (smoke tests run with ~50
+// ops) and the table only reports.
+const minEnforceOps = 2000
+
 // loadTable runs the T-load table: a closed-loop probe finds peak
 // throughput, then open-loop Poisson arrivals are stepped as fractions
 // of that peak and the latency distribution — measured from each
@@ -33,7 +38,7 @@ const loadFloor = 3 * 351_000.0
 // hidden (no coordinated omission) — is reported per step. With ops at
 // real scale the peak is held to the ≥3x-over-single-connection floor.
 // The full tool with every knob (conns, depth, mix, zipf register
-// spread, worker models) is cmd/bloomload; this table is the compact
+// spread, value sizes) is cmd/bloomload; this table is the compact
 // CI-trended core of it.
 func loadTable(ops int, jsonOut bool) error {
 	srv, err := netreg.NewServer("127.0.0.1:0", "x", 1, nil)

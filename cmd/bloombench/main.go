@@ -23,11 +23,9 @@
 // Combined with -json it writes BENCH_fault.json.
 //
 // With -net, bloombench instead runs the T-net table: single-connection
-// write throughput swept across codec (JSON vs binary framing) and
-// pipeline depth (1, 8, 64), a multi-register fan-out behind one
-// listener, and a certified pipelined two-writer run. At real op counts
-// it enforces the transport rework's ≥3x bar (binary pipelined at depth 8
-// vs JSON serial). Combined with -json it writes BENCH_net.json.
+// write throughput swept across pipeline depth (1, 8, 64), a
+// multi-register fan-out behind one listener, and a certified pipelined
+// two-writer run. Combined with -json it writes BENCH_net.json.
 //
 // With -load, bloombench instead runs the T-load table: the open-loop
 // saturation curve (closed-loop peak probe, then Poisson arrivals
@@ -85,7 +83,7 @@ func run() error {
 	ops := flag.Int("ops", 100000, "operations per measurement")
 	jsonOut := flag.Bool("json", false, "also write BENCH_substrates.json and BENCH_obs.json (or BENCH_fault.json / BENCH_net.json with -faults / -net)")
 	faults := flag.Bool("faults", false, "run the T-fault table (faulty-link recovery) instead of the default tables")
-	netSweep := flag.Bool("net", false, "run the T-net table (wire codec × pipeline depth throughput) instead of the default tables")
+	netSweep := flag.Bool("net", false, "run the T-net table (pipeline depth throughput) instead of the default tables")
 	load := flag.Bool("load", false, "run the T-load table (open-loop saturation curve) instead of the default tables")
 	certify := flag.Bool("certify", false, "run the T-certify table (journal + linearizability checking) instead of the default tables")
 	replicaFlag := flag.Bool("replica", false, "run the T-replica table (ABD quorum register: variant costs + tolerated-crash soak) instead of the default tables")

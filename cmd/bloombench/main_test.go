@@ -39,9 +39,8 @@ func TestFaultTableSmoke(t *testing.T) {
 }
 
 // TestNetTableSmoke runs the -net mode end to end with a tiny op count:
-// the certified pipelined run inside it self-checks, and at this size the
-// speedup floor is reported but not enforced (loopback throughput over 50
-// ops is noise).
+// the certified pipelined run inside it self-checks, so "no error" is the
+// whole assertion.
 func TestNetTableSmoke(t *testing.T) {
 	if err := netTable(50, false); err != nil {
 		t.Fatalf("netTable: %v", err)

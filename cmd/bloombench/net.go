@@ -12,7 +12,6 @@ import (
 	"repro/internal/netreg"
 	"repro/internal/obs"
 	"repro/internal/proof"
-	"repro/internal/wire"
 )
 
 // netDepths is the pipeline-depth sweep: 1 is the serial baseline (one
@@ -20,19 +19,8 @@ import (
 // one connection.
 var netDepths = [...]int{1, 8, 64}
 
-// speedupFloor is the transport rework's acceptance bar: binary frames +
-// pipelining at depth 8 must beat JSON + serial round trips by at least
-// this factor on single-connection loopback throughput.
-const speedupFloor = 3.0
-
-// minEnforceOps is the smallest op count at which the speedup floor is
-// enforced: below it the measurement is noise-dominated (smoke tests run
-// with ~50 ops) and the table only reports.
-const minEnforceOps = 2000
-
-// netRow is one cell of the codec × depth sweep.
+// netRow is one cell of the pipeline-depth sweep.
 type netRow struct {
-	Codec      string  `json:"codec"`
 	Depth      int     `json:"depth"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
@@ -50,19 +38,16 @@ type netFanOut struct {
 
 // netBench is the BENCH_net.json document.
 type netBench struct {
-	Ops           int       `json:"ops_per_measurement"`
-	Rows          []netRow  `json:"sweep"`
-	FanOut        netFanOut `json:"multi_register_fan_out"`
-	SpeedupDepth8 float64   `json:"speedup_binary_depth8_vs_json_serial"`
-	SpeedupFloor  float64   `json:"speedup_floor"`
-	Certified     bool      `json:"pipelined_run_certified_atomic"`
+	Ops       int       `json:"ops_per_measurement"`
+	Rows      []netRow  `json:"sweep"`
+	FanOut    netFanOut `json:"multi_register_fan_out"`
+	Certified bool      `json:"pipelined_run_certified_atomic"`
 }
 
 // netTable runs the T-net measurements: single-connection write
-// throughput across codec (JSON vs binary) and pipeline depth, aggregate
-// throughput of a multi-register fan-out behind one listener, and a
-// certified pipelined two-writer run. With jsonOut it writes
-// BENCH_net.json; at real op counts it enforces the ≥3x speedup bar.
+// throughput across pipeline depth, aggregate throughput of a
+// multi-register fan-out behind one listener, and a certified pipelined
+// two-writer run. With jsonOut it writes BENCH_net.json.
 func netTable(ops int, jsonOut bool) error {
 	// Network round trips dwarf in-process accesses; cap like -faults so
 	// the default -ops stays CI-sized, but keep enough ops that the
@@ -72,26 +57,20 @@ func netTable(ops int, jsonOut bool) error {
 		netOps = 20000
 	}
 
-	fmt.Println("== T-net: single-connection throughput, codec × pipeline depth ==")
+	fmt.Println("== T-net: single-connection throughput by pipeline depth ==")
 	fmt.Println()
-	fmt.Printf("%-8s %-7s %-12s %-14s %s\n", "codec", "depth", "ns/op", "ops/sec", "bytes/op")
+	fmt.Printf("%-7s %-12s %-14s %s\n", "depth", "ns/op", "ops/sec", "bytes/op")
 
 	var rows []netRow
-	for _, codec := range []wire.Codec{wire.JSON, wire.Binary} {
-		for _, depth := range netDepths {
-			row, err := measureNet(netOps, codec, depth)
-			if err != nil {
-				return fmt.Errorf("measuring %s depth %d: %w", codec, depth, err)
-			}
-			rows = append(rows, row)
-			fmt.Printf("%-8s %-7d %-12.0f %-14.0f %.1f\n",
-				row.Codec, row.Depth, row.NsPerOp, row.OpsPerSec, row.BytesPerOp)
+	for _, depth := range netDepths {
+		row, err := measureNet(netOps, depth)
+		if err != nil {
+			return fmt.Errorf("measuring depth %d: %w", depth, err)
 		}
+		rows = append(rows, row)
+		fmt.Printf("%-7d %-12.0f %-14.0f %.1f\n",
+			row.Depth, row.NsPerOp, row.OpsPerSec, row.BytesPerOp)
 	}
-
-	speedup := speedupOf(rows)
-	fmt.Println()
-	fmt.Printf("binary+pipelined (depth 8) vs json+serial: %.1fx\n", speedup)
 
 	fan, err := measureFanOut(netOps)
 	if err != nil {
@@ -114,26 +93,20 @@ func netTable(ops int, jsonOut bool) error {
 	fmt.Println()
 	fmt.Println("pipelining overlaps round trips on one connection: depth-d callers keep")
 	fmt.Println("d requests in flight, the client batches their frames into one syscall,")
-	fmt.Println("and the server answers a decoded burst with one flush. Binary framing")
-	fmt.Println("then shrinks the per-frame cost (no JSON encode/decode, no reflection).")
+	fmt.Println("and the server answers a decoded burst with one flush.")
 
 	if !certified {
 		return fmt.Errorf("pipelined run failed certification")
-	}
-	if netOps >= minEnforceOps && speedup < speedupFloor {
-		return fmt.Errorf("speedup %.2fx below the %.1fx floor (binary depth 8 vs json serial)", speedup, speedupFloor)
 	}
 
 	if !jsonOut {
 		return nil
 	}
 	doc := netBench{
-		Ops:           netOps,
-		Rows:          rows,
-		FanOut:        fan,
-		SpeedupDepth8: speedup,
-		SpeedupFloor:  speedupFloor,
-		Certified:     certified,
+		Ops:       netOps,
+		Rows:      rows,
+		FanOut:    fan,
+		Certified: certified,
 	}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -147,26 +120,9 @@ func netTable(ops int, jsonOut bool) error {
 	return nil
 }
 
-// speedupOf divides json+serial latency by binary+depth-8 latency.
-func speedupOf(rows []netRow) float64 {
-	var jsonSerial, binDepth8 float64
-	for _, r := range rows {
-		switch {
-		case r.Codec == wire.JSON.String() && r.Depth == 1:
-			jsonSerial = r.NsPerOp
-		case r.Codec == wire.Binary.String() && r.Depth == 8:
-			binDepth8 = r.NsPerOp
-		}
-	}
-	if binDepth8 == 0 {
-		return 0
-	}
-	return jsonSerial / binDepth8
-}
-
-// measureNet times ops writes against a live server over ONE connection
-// with the given codec, depth callers keeping requests in flight.
-func measureNet(ops int, codec wire.Codec, depth int) (netRow, error) {
+// measureNet times ops writes against a live server over ONE connection,
+// depth callers keeping requests in flight.
+func measureNet(ops int, depth int) (netRow, error) {
 	srv, err := netreg.NewServer("127.0.0.1:0", 0, 1, nil)
 	if err != nil {
 		return netRow{}, err
@@ -175,7 +131,6 @@ func measureNet(ops int, codec wire.Codec, depth int) (netRow, error) {
 
 	ws := obs.NewWire()
 	c, err := netreg.Dial[int](srv.Addr(),
-		netreg.WithCodec(codec),
 		netreg.WithTimeout(10*time.Second),
 		netreg.WithWireStats(ws))
 	if err != nil {
@@ -217,7 +172,6 @@ func measureNet(ops int, codec wire.Codec, depth int) (netRow, error) {
 
 	in, out := ws.Bytes()
 	return netRow{
-		Codec:      codec.String(),
 		Depth:      depth,
 		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(total),
 		OpsPerSec:  float64(total) / elapsed.Seconds(),

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/linz"
-	"repro/internal/loadgen"
 	"repro/internal/netreg"
 	"repro/internal/obs"
 	"repro/internal/replica"
@@ -20,12 +19,6 @@ import (
 // replicaSeed seeds the -replica mode's workload mixes and its kill
 // plan; one fixed seed keeps the table replayable.
 const replicaSeed = 20260808
-
-// minEngineSpeedup is the self-gate floor: the quorum engine's
-// closed-loop saturation throughput must be at least this multiple of
-// the PR 9 per-op-goroutine client's on the identical workload, or the
-// table fails. Measured locally at 3-4.5x; the floor leaves noise room.
-const minEngineSpeedup = 2.0
 
 // replicaBaseRow is the single-server reference: one client, one server,
 // one round trip per operation — the RTT the quorum modes are measured
@@ -68,33 +61,19 @@ type replicaSoakRow struct {
 	Verdict    string `json:"verdict"`
 }
 
-// replicaSatRow is one side of the engine-vs-legacy saturation
-// comparison: closed-loop peak logical throughput under the cluster load
-// generator, identical workload both sides.
-type replicaSatRow struct {
-	Client       string  `json:"client"`
-	OpsPerSec    float64 `json:"ops_per_sec"`
-	P99Us        float64 `json:"p99_us"`
-	CombinedFrac float64 `json:"combined_read_frac"`
-}
-
 // replicaBench is the BENCH_replica.json document.
 type replicaBench struct {
-	OpsTarget  int              `json:"ops_target"`
-	Replicas   int              `json:"replicas"`
-	Quorum     int              `json:"quorum"`
-	Baseline   replicaBaseRow   `json:"single_server_baseline"`
-	Modes      []replicaModeRow `json:"modes"`
-	Saturation []replicaSatRow  `json:"saturation"`
-	Speedup    float64          `json:"engine_speedup"`
-	MinSpeedup float64          `json:"min_speedup"`
-	Soak       replicaSoakRow   `json:"crash_soak"`
+	OpsTarget int              `json:"ops_target"`
+	Replicas  int              `json:"replicas"`
+	Quorum    int              `json:"quorum"`
+	Baseline  replicaBaseRow   `json:"single_server_baseline"`
+	Modes     []replicaModeRow `json:"modes"`
+	Soak      replicaSoakRow   `json:"crash_soak"`
 }
 
 // replicaTable runs the T-replica measurements: plain ABD vs the
-// fast-path and message-frugal variants over an m=3 cluster (rounds/op,
-// RTT overhead vs a single server, bytes/op), then the tolerated-crash
-// soak — f=2 of m=5 replicas killed permanently mid-run under a seeded
+// fast-path variant over an m=3 cluster (rounds/op, RTT overhead vs a
+// single server, bytes/op), then the tolerated-crash soak — f=2 of m=5 replicas killed permanently mid-run under a seeded
 // plan, with the per-replica journals and the quorum clients' logical
 // journal merged and certified atomic online. With jsonOut it writes
 // BENCH_replica.json.
@@ -119,7 +98,7 @@ func replicaTable(ops int, jsonOut bool) error {
 		"single", base.Ops, base.ReadMeanUs, base.WriteMeanUs, base.OpsPerSec)
 
 	var rows []replicaModeRow
-	for _, mode := range []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFrugal} {
+	for _, mode := range []replica.Mode{replica.ModeABD, replica.ModeFast} {
 		row, err := replicaModeRun(mode, m, n, base)
 		if err != nil {
 			return fmt.Errorf("%s row: %w", mode, err)
@@ -138,19 +117,6 @@ func replicaTable(ops int, jsonOut bool) error {
 		return fmt.Errorf("fast path never engaged: abd %.2f rounds/read, fast %.2f", abd.ReadRoundsPerOp, fast.ReadRoundsPerOp)
 	}
 
-	sat, speedup, err := replicaSaturation()
-	if err != nil {
-		return fmt.Errorf("saturation comparison: %w", err)
-	}
-	for _, s := range sat {
-		fmt.Printf("%-8s %9.0f ops/s  p99 %7.1fµs  combined %4.0f%%  (closed loop, 4 clients x depth 16)\n",
-			s.Client, s.OpsPerSec, s.P99Us, s.CombinedFrac*100)
-	}
-	fmt.Printf("%-8s engine %.2fx legacy at saturation (gate floor %.1fx)\n", "speedup", speedup, minEngineSpeedup)
-	if speedup < minEngineSpeedup {
-		return fmt.Errorf("quorum engine only %.2fx the legacy client at saturation, want >= %.1fx", speedup, minEngineSpeedup)
-	}
-
 	soak, err := replicaSoak(n)
 	if err != nil {
 		return fmt.Errorf("crash soak: %w", err)
@@ -164,23 +130,19 @@ func replicaTable(ops int, jsonOut bool) error {
 	fmt.Println()
 	fmt.Println("reads and writes are two majority round trips (query-max-timestamp,")
 	fmt.Println("write-back); the fast path skips a read's write-back when the quorum")
-	fmt.Println("already agrees, and the frugal variant queries timestamps only and")
-	fmt.Println("fetches the value once — same atomicity, certified online even while")
-	fmt.Println("a minority of replicas is crashed for good.")
+	fmt.Println("already agrees — same atomicity, certified online even while a")
+	fmt.Println("minority of replicas is crashed for good.")
 
 	if !jsonOut {
 		return nil
 	}
 	doc := replicaBench{
-		OpsTarget:  ops,
-		Replicas:   m,
-		Quorum:     m/2 + 1,
-		Baseline:   base,
-		Modes:      rows,
-		Saturation: sat,
-		Speedup:    speedup,
-		MinSpeedup: minEngineSpeedup,
-		Soak:       soak,
+		OpsTarget: ops,
+		Replicas:  m,
+		Quorum:    m/2 + 1,
+		Baseline:  base,
+		Modes:     rows,
+		Soak:      soak,
 	}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -195,8 +157,7 @@ func replicaTable(ops int, jsonOut bool) error {
 }
 
 // replicaVal builds the workload's JSON value: 1 KiB, large enough that
-// the frugal variant's constant-size phase-1 messages show up in the
-// bytes/op column.
+// a value's m-way fan-out dominates the bytes/op column.
 func replicaVal(tag string) json.RawMessage {
 	pad := make([]byte, 1024)
 	for i := range pad {
@@ -220,7 +181,6 @@ func replicaCluster(m int, journaled bool) (addrs []string, servers []*netreg.Se
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		st.SetValBufCap(64 << 10) // 1 KiB values: default cap is plenty, set explicitly for clarity
 		var opts []netreg.ServeOption
 		var j *obs.Journal
 		if journaled {
@@ -430,60 +390,11 @@ func replicaModeRun(mode replica.Mode, m, n int, base replicaBaseRow) (replicaMo
 	return row, nil
 }
 
-// replicaSaturation runs the tentpole comparison and its self-gate:
-// the quorum engine vs the PR 9 per-op-goroutine client at closed-loop
-// saturation — 4 clients x 16 concurrent logical ops each, 90% reads —
-// on a fresh m=3 cluster per side. Returns both rows and the speedup;
-// the caller fails the table when it is below minEngineSpeedup.
-func replicaSaturation() ([]replicaSatRow, float64, error) {
-	const m = 3
-	var rows []replicaSatRow
-	for _, side := range []struct {
-		name   string
-		legacy bool
-	}{{"engine", false}, {"legacy", true}} {
-		addrs, servers, _, err := replicaCluster(m, false)
-		if err != nil {
-			return nil, 0, err
-		}
-		tally := obs.NewReplica(m)
-		r, err := loadgen.RunCluster(loadgen.ClusterConfig{
-			Addrs:    addrs,
-			Mode:     replica.ModeABD,
-			Clients:  4,
-			Depth:    16,
-			Duration: time.Second,
-			ReadFrac: 0.9,
-			Seed:     replicaSeed,
-			Legacy:   side.legacy,
-			Tally:    tally,
-		})
-		for _, srv := range servers {
-			srv.Close()
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s probe: %w", side.name, err)
-		}
-		row := replicaSatRow{
-			Client:    side.name,
-			OpsPerSec: r.Load.AchievedPS,
-			P99Us:     r.P99Us,
-		}
-		if ok := tally.Ok(obs.QRead); ok > 0 {
-			row.CombinedFrac = float64(tally.Combined(obs.QRead)) / float64(ok)
-		}
-		rows = append(rows, row)
-	}
-	if rows[1].OpsPerSec <= 0 {
-		return rows, 0, fmt.Errorf("legacy probe achieved no throughput")
-	}
-	return rows, rows[0].OpsPerSec / rows[1].OpsPerSec, nil
-}
-
 // replicaSoak is the tolerated-crash acceptance run: m=5 journaled
 // replicas, a seeded plan killing f=2 permanently mid-stream, four
-// journaling quorum clients (one per mode plus a second writer), and a
-// merged online checker over all six journals. Certification failing, any
+// journaling quorum clients (two writers and two readers, each pair one
+// ABD and one Fast client), and a merged online checker over all six
+// journals. Certification failing, any
 // operation failing, or the kills not firing all fail the row.
 func replicaSoak(n int) (replicaSoakRow, error) {
 	const (
@@ -527,7 +438,7 @@ func replicaSoak(n int) (replicaSoakRow, error) {
 	}
 	ol.Start()
 
-	modes := []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFrugal, replica.ModeABD}
+	modes := []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFast, replica.ModeABD}
 	clients := make([]*replica.QClient, len(modes))
 	for i, mode := range modes {
 		q, err := replica.Dial(addrs, replica.Options{

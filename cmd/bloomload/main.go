@@ -12,9 +12,7 @@
 //
 // By default bloomload starts its own in-process server on a loopback
 // port (so one command measures the whole stack); -addr aims it at an
-// external server instead. -compare additionally probes each server
-// worker model (inline, bounded pool, goroutine per request) and the
-// flat-combining write path. With -json the run is written to
+// external server instead. With -json the run is written to
 // BENCH_loadgen.json for machine consumption (CI trend lines).
 package main
 
@@ -52,15 +50,12 @@ func run() error {
 	rate := flag.Float64("rate", 0, "run a single open-loop step at this ops/sec instead of the sweep")
 	sweep := flag.String("sweep", "0.5,0.75,0.9,1.0", "offered-load fractions of probed peak")
 	seed := flag.Int64("seed", 1, "arrival schedule seed")
-	workers := flag.Int("workers", 0, "in-process server worker model (0 inline, n>0 pool, <0 per-request)")
-	combine := flag.Bool("combine", false, "enable flat-combining write batching on the in-process server")
-	compare := flag.Bool("compare", false, "also probe peak across server worker models and combining")
 	jsonOut := flag.Bool("json", false, "write BENCH_loadgen.json")
 	replicaLoad := flag.Bool("replica", false, "drive the replicated register: quorum clients over an in-process cluster")
 	replicas := flag.Int("replicas", 3, "replica servers in -replica mode")
 	clients := flag.Int("clients", 4, "quorum clients in -replica mode")
 	qdepth := flag.Int("qdepth", 16, "concurrent logical ops per quorum client in -replica mode")
-	modeName := flag.String("mode", "abd", "protocol variant in -replica mode (abd, fast, frugal)")
+	modeName := flag.String("mode", "abd", "protocol variant in -replica mode (abd or fast)")
 	flag.Parse()
 
 	fracs, err := parseFracs(*sweep)
@@ -114,13 +109,13 @@ func run() error {
 
 	cfg.Addr = *addr
 	if cfg.Addr == "" {
-		srv, err := startServer(regNames, *workers, *combine)
+		srv, err := startServer(regNames)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		cfg.Addr = srv.Addr()
-		fmt.Printf("in-process server on %s (workers=%d combining=%v)\n\n", cfg.Addr, *workers, *combine)
+		fmt.Printf("in-process server on %s\n\n", cfg.Addr)
 	}
 
 	var steps []loadgen.Result
@@ -172,30 +167,6 @@ func run() error {
 		}
 	}
 
-	var modeRows []loadgen.WorkerRow
-	if *compare && *addr == "" {
-		fmt.Printf("\n== worker-model comparison (closed-loop probes) ==\n\n")
-		fmt.Printf("%-14s %-12s %-14s %s\n", "model", "combining", "ops/sec", "p99 us")
-		for _, m := range []struct {
-			name    string
-			workers int
-			combine bool
-		}{
-			{"inline", 0, false},
-			{"inline", 0, true},
-			{"pool-4", 4, false},
-			{"per-request", -1, false},
-		} {
-			row, err := probeMode(cfg, regNames, m.workers, m.combine)
-			if err != nil {
-				return fmt.Errorf("probing %s: %w", m.name, err)
-			}
-			row.Model = m.name
-			modeRows = append(modeRows, row)
-			fmt.Printf("%-14s %-12v %-14.0f %.1f\n", row.Model, row.Combining, row.OpsPerSec, row.P99Us)
-		}
-	}
-
 	if !*jsonOut {
 		return nil
 	}
@@ -208,7 +179,6 @@ func run() error {
 		DurationSecs: duration.Seconds(),
 		PeakOpsPS:    peak,
 		Steps:        steps,
-		WorkerModels: modeRows,
 		VSizes:       vsizeRows,
 	}
 	if err := doc.WriteFile("BENCH_loadgen.json"); err != nil {
@@ -219,8 +189,8 @@ func run() error {
 }
 
 // startServer builds the in-process store (default register plus any
-// named ones) and serves it with the requested worker model.
-func startServer(regNames []string, workers int, combine bool) (*netreg.Server, error) {
+// named ones) and serves it.
+func startServer(regNames []string) (*netreg.Server, error) {
 	st, err := netreg.NewStore("x", 1, nil)
 	if err != nil {
 		return nil, err
@@ -233,29 +203,7 @@ func startServer(regNames []string, workers int, combine bool) (*netreg.Server, 
 			return nil, err
 		}
 	}
-	st.SetWriteCombining(combine)
-	return netreg.Serve("127.0.0.1:0", st, netreg.WithWorkers(workers))
-}
-
-// probeMode runs one closed-loop probe against a fresh in-process server
-// in the given mode.
-func probeMode(cfg loadgen.Config, regNames []string, workers int, combine bool) (loadgen.WorkerRow, error) {
-	srv, err := startServer(regNames, workers, combine)
-	if err != nil {
-		return loadgen.WorkerRow{}, err
-	}
-	defer srv.Close()
-	cfg.Addr = srv.Addr()
-	cfg.Rate = 0
-	r, err := loadgen.Run(cfg)
-	if err != nil {
-		return loadgen.WorkerRow{}, err
-	}
-	return loadgen.WorkerRow{
-		Combining: combine,
-		OpsPerSec: r.Load.AchievedPS,
-		P99Us:     r.P99Us,
-	}, nil
+	return netreg.Serve("127.0.0.1:0", st)
 }
 
 // parseSizes parses the -vsizes flag ("16,512,4096").
@@ -282,10 +230,8 @@ func parseMode(s string) (replica.Mode, error) {
 		return replica.ModeABD, nil
 	case "fast":
 		return replica.ModeFast, nil
-	case "frugal":
-		return replica.ModeFrugal, nil
 	default:
-		return 0, fmt.Errorf("unknown mode %q (want abd, fast, or frugal)", s)
+		return 0, fmt.Errorf("unknown mode %q (want abd or fast)", s)
 	}
 }
 

@@ -10,13 +10,6 @@ import (
 	"repro/internal/replica"
 )
 
-// minReplicaSpeedup is the self-gate floor recorded into
-// BENCH_replica_load.json: the quorum engine's closed-loop peak must be
-// at least this multiple of the PR 9 per-op-goroutine client's on the
-// identical workload. bloombench -replica enforces it; bloomload records
-// the measurement next to the floor so the artifact is self-describing.
-const minReplicaSpeedup = 2.0
-
 // startReplicaCluster hosts m in-process replica servers.
 func startReplicaCluster(m int) ([]string, func(), error) {
 	var addrs []string
@@ -46,8 +39,8 @@ func startReplicaCluster(m int) ([]string, func(), error) {
 // runReplica is bloomload's -replica mode: the cluster load generator
 // over an in-process replicated register. It sweeps the engine's
 // saturation curve, probes every protocol variant's peak with its
-// rounds/op and combining accounting, probes the legacy client as the
-// speedup baseline, and (with -json) writes BENCH_replica_load.json.
+// rounds/op and combining accounting, and (with -json) writes
+// BENCH_replica_load.json.
 func runReplica(cfg loadgen.ClusterConfig, mode replica.Mode, fracs []float64, singleRate float64, jsonOut bool) error {
 	addrs, closeAll, err := startReplicaCluster(len(cfg.Addrs))
 	if err != nil {
@@ -78,11 +71,7 @@ func runReplica(cfg loadgen.ClusterConfig, mode replica.Mode, fracs []float64, s
 	fmt.Printf("== %s saturation curve (engine) ==\n\n", mode)
 	fmt.Printf("%-10s %-13s %-13s %-9s %-10s %-10s %s\n",
 		"step", "offered/s", "achieved/s", "backlog", "p50 us", "p99 us", "p999 us")
-	var enginePeak float64
 	for _, s := range steps {
-		if s.Load.AchievedPS > enginePeak {
-			enginePeak = s.Load.AchievedPS
-		}
 		fmt.Printf("%-10s %-13.0f %-13.0f %-9.3f %-10.1f %-10.1f %.1f\n",
 			s.Name, s.Load.OfferedPS, s.Load.AchievedPS, s.Load.BacklogFrac,
 			s.P50Us, s.P99Us, s.P999Us)
@@ -94,8 +83,8 @@ func runReplica(cfg loadgen.ClusterConfig, mode replica.Mode, fracs []float64, s
 	fmt.Printf("%-8s %-13s %-10s %-12s %-14s %s\n",
 		"mode", "ops/sec", "p99 us", "read rds/op", "combined frac", "elided")
 	var modeRows []loadgen.ReplicaModeRow
-	for _, m := range []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFrugal} {
-		row, err := probeReplicaMode(cfg, m, false)
+	for _, m := range []replica.Mode{replica.ModeABD, replica.ModeFast} {
+		row, err := probeReplicaMode(cfg, m)
 		if err != nil {
 			return fmt.Errorf("probing %s: %w", m, err)
 		}
@@ -103,27 +92,6 @@ func runReplica(cfg loadgen.ClusterConfig, mode replica.Mode, fracs []float64, s
 		fmt.Printf("%-8s %-13.0f %-10.1f %-12.2f %-14.3f %d\n",
 			row.Mode, row.OpsPerSec, row.P99Us, row.ReadRoundsPerOp, row.CombinedFrac, row.ElidedReads)
 	}
-
-	// The tentpole comparison: engine vs the PR 9 per-op-goroutine
-	// client, identical workload, closed loop.
-	legacyRow, err := probeReplicaMode(cfg, mode, true)
-	if err != nil {
-		return fmt.Errorf("probing legacy: %w", err)
-	}
-	engineProbe := steps[0].Load.AchievedPS
-	if singleRate > 0 {
-		engineProbe = enginePeak
-	}
-	speedup := 0.0
-	if legacyRow.OpsPerSec > 0 {
-		speedup = engineProbe / legacyRow.OpsPerSec
-	}
-	fmt.Printf("\n== engine vs legacy (%s, closed loop) ==\n\n", mode)
-	fmt.Printf("%-8s %-13s %s\n", "client", "ops/sec", "p99 us")
-	fmt.Printf("%-8s %-13.0f %.1f\n", "engine", engineProbe, steps[0].P99Us)
-	fmt.Printf("%-8s %-13.0f %.1f\n", "legacy", legacyRow.OpsPerSec, legacyRow.P99Us)
-	fmt.Printf("\nengine speedup: %.2fx (gate floor %.1fx, enforced by bloombench -replica)\n",
-		speedup, minReplicaSpeedup)
 
 	if !jsonOut {
 		return nil
@@ -135,10 +103,7 @@ func runReplica(cfg loadgen.ClusterConfig, mode replica.Mode, fracs []float64, s
 		ReadFrac:     cfg.ReadFrac,
 		ValueBytes:   cfg.ValueBytes,
 		DurationSecs: cfg.Duration.Seconds(),
-		EnginePeak:   engineProbe,
-		LegacyPeak:   legacyRow.OpsPerSec,
-		Speedup:      speedup,
-		MinSpeedup:   minReplicaSpeedup,
+		EnginePeak:   steps[0].Load.AchievedPS, // the closed-loop probe, or the single step
 		Modes:        modeRows,
 		Sweep:        steps,
 	}
@@ -150,9 +115,8 @@ func runReplica(cfg loadgen.ClusterConfig, mode replica.Mode, fracs []float64, s
 }
 
 // probeReplicaMode runs one closed-loop probe against a fresh cluster in
-// the given mode (engine or legacy), returning the row with its quorum
-// accounting.
-func probeReplicaMode(cfg loadgen.ClusterConfig, mode replica.Mode, legacy bool) (loadgen.ReplicaModeRow, error) {
+// the given mode, returning the row with its quorum accounting.
+func probeReplicaMode(cfg loadgen.ClusterConfig, mode replica.Mode) (loadgen.ReplicaModeRow, error) {
 	addrs, closeAll, err := startReplicaCluster(len(cfg.Addrs))
 	if err != nil {
 		return loadgen.ReplicaModeRow{}, err
@@ -162,7 +126,6 @@ func probeReplicaMode(cfg loadgen.ClusterConfig, mode replica.Mode, legacy bool)
 	cfg.Addrs = addrs
 	cfg.Mode = mode
 	cfg.Rate = 0
-	cfg.Legacy = legacy
 	cfg.Tally = tally
 	r, err := loadgen.RunCluster(cfg)
 	if err != nil {
@@ -173,9 +136,6 @@ func probeReplicaMode(cfg loadgen.ClusterConfig, mode replica.Mode, legacy bool)
 		OpsPerSec:   r.Load.AchievedPS,
 		P99Us:       r.P99Us,
 		ElidedReads: tally.Elided(obs.QRead),
-	}
-	if legacy {
-		row.Mode = mode.String() + "-legacy"
 	}
 	if ok := tally.Ok(obs.QRead); ok > 0 {
 		row.ReadRoundsPerOp = float64(tally.Rounds(obs.QRead)) / float64(ok)

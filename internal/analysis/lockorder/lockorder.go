@@ -2,9 +2,10 @@
 // rejects cycles and blocking while locked.
 //
 // The repo's server path is a small lattice of mutexes — the per-register
-// writeMu, the flat-combining pendMu, the dedup windows, the journal
-// gate, the client breaker — and its liveness argument is exactly "these
-// are always taken in one order, and nothing waits while holding one".
+// writeMu guarding the dedup windows, the q-cell's qMu, the quorum
+// client's journal gate, the client breaker — and its liveness argument
+// is exactly "these are always taken in one order, and nothing waits
+// while holding one".
 // This analyzer makes that argument static:
 //
 //   - Every function is lowered to the ssair instruction stream, which

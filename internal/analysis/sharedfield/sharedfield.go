@@ -41,9 +41,9 @@
 //
 // //bloom:allowshared on a field's comment (or on its struct type's doc
 // comment, covering every field) waives the check: the escape hatch for
-// ownership-handoff protocols like the flat-combining write batch, where
-// a record is mutated only before publication and after retirement and
-// no static discipline describes that exchange.
+// ownership-handoff protocols like the model checker's cloned machines
+// (internal/sched), each handed to exactly one worker through a channel,
+// where no static discipline describes that exchange.
 //
 // The pass is per-package: sharing introduced by another package's
 // goroutines calling into this one is out of scope (atomicmix covers

@@ -49,12 +49,6 @@ type ClusterConfig struct {
 	// saturated cluster queues deep; a premature timeout would poison the
 	// measurement with failures).
 	Timeout time.Duration
-	// Legacy drives the PR 9 per-op-goroutine client instead of the
-	// engine: the baseline side of the speedup gate.
-	Legacy bool
-	// NoCombine disables read combining on the engine (ignored by
-	// Legacy, which never combines).
-	NoCombine bool
 	// Tally, when set, receives every client's quorum accounting
 	// (rounds/op, combining, elision). Create with
 	// obs.NewReplica(len(Addrs)).
@@ -87,31 +81,18 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	return cfg
 }
 
-// qclient is the client surface the generator drives; *replica.QClient
-// and *replica.Legacy both satisfy it. Engine workers bypass it for
-// reads (ReadInto with a reused buffer keeps the measured path
-// zero-allocation).
-type qclient interface {
-	ReadStamped() (json.RawMessage, int64, uint32, error)
-	WriteStamped(val json.RawMessage) (int64, uint32, error)
-	Close() error
-}
-
 // clusterWorker runs logical ops for scheduled arrivals until the
 // channel closes, observing latency from each arrival's schedule stamp.
-func clusterWorker(cfg ClusterConfig, q qclient, arrivals <-chan int64, epoch time.Time,
+// Reads go through ReadInto with a reused buffer, which keeps the
+// measured path zero-allocation.
+func clusterWorker(cfg ClusterConfig, q *replica.QClient, arrivals <-chan int64, epoch time.Time,
 	load *obs.Load, hist *obs.Hist, fails *atomic.Int64, seed int64, val json.RawMessage) {
 	rng := rand.New(rand.NewSource(seed))
-	eng, _ := q.(*replica.QClient)
 	var buf []byte
 	for sched := range arrivals {
 		var err error
 		if rng.Float64() < cfg.ReadFrac {
-			if eng != nil {
-				buf, _, _, err = eng.ReadInto(buf)
-			} else {
-				_, _, _, err = q.ReadStamped()
-			}
+			buf, _, _, err = q.ReadInto(buf)
 		} else {
 			_, _, err = q.WriteStamped(val)
 		}
@@ -173,19 +154,12 @@ func RunCluster(cfg ClusterConfig) (Result, error) {
 		return Result{}, fmt.Errorf("loadgen: no replica addresses")
 	}
 
-	clients := make([]qclient, cfg.Clients)
+	clients := make([]*replica.QClient, cfg.Clients)
 	for i := range clients {
-		o := replica.Options{
+		q, err := replica.Dial(cfg.Addrs, replica.Options{
 			Mode: cfg.Mode, WriterID: uint32(i + 1), Tally: cfg.Tally,
-			Timeout: cfg.Timeout, NoCombine: cfg.NoCombine,
-		}
-		var q qclient
-		var err error
-		if cfg.Legacy {
-			q, err = replica.DialLegacy(cfg.Addrs, o)
-		} else {
-			q, err = replica.Dial(cfg.Addrs, o)
-		}
+			Timeout: cfg.Timeout,
+		})
 		if err != nil {
 			for _, c := range clients[:i] {
 				c.Close()
@@ -229,7 +203,7 @@ func RunCluster(cfg ClusterConfig) (Result, error) {
 		}(i)
 		for w := 0; w < cfg.Depth; w++ {
 			wg.Add(1)
-			go func(i, w int, q qclient) {
+			go func(i, w int, q *replica.QClient) {
 				defer wg.Done()
 				clusterWorker(cfg, q, arrivals, epoch, load, &hists[i*cfg.Depth+w],
 					&fails, cfg.Seed+int64(i*cfg.Depth+w)*22695477+7, val)

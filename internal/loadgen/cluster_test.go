@@ -70,28 +70,6 @@ func TestRunClusterClosedLoop(t *testing.T) {
 	}
 }
 
-// TestRunClusterLegacy checks the baseline side of the speedup gate
-// drives the same workload through the PR 9 client.
-func TestRunClusterLegacy(t *testing.T) {
-	addrs := startReplicas(t, 3)
-	r, err := loadgen.RunCluster(loadgen.ClusterConfig{
-		Addrs:    addrs,
-		Mode:     replica.ModeABD,
-		Clients:  2,
-		Depth:    4,
-		Duration: 200 * time.Millisecond,
-		ReadFrac: 0.5,
-		Seed:     2,
-		Legacy:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Load.Achieved == 0 || r.Load.Errors != 0 {
-		t.Fatalf("legacy run achieved %d with %d errors", r.Load.Achieved, r.Load.Errors)
-	}
-}
-
 // TestRingOption pins the Ring validation: not-a-power-of-two and
 // smaller-than-Depth both fail before any connection dials, and a valid
 // explicit ring runs with the exact configured depth.

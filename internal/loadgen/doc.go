@@ -20,29 +20,18 @@ import (
 	"os"
 )
 
-// WorkerRow is one server worker-model comparison probe in a BenchDoc
-// (closed-loop peak per model; see netreg.WithWorkers).
-type WorkerRow struct {
-	Model     string  `json:"model"`
-	Combining bool    `json:"write_combining"`
-	OpsPerSec float64 `json:"achieved_ops_per_sec"`
-	P99Us     float64 `json:"p99_us"`
-}
-
-// BenchDoc is the BENCH_loadgen.json document: the generator shape, the
-// offered-load sweep, and optionally the worker-model comparison. Both
-// cmd/bloomload and cmd/bloombench -load emit it, so CI trend lines see
-// one schema.
+// BenchDoc is the BENCH_loadgen.json document: the generator shape and
+// the offered-load sweep. Both cmd/bloomload and cmd/bloombench -load
+// emit it, so CI trend lines see one schema.
 type BenchDoc struct {
-	Conns        int         `json:"conns"`
-	Depth        int         `json:"depth"`
-	ReadFrac     float64     `json:"read_frac"`
-	ValueBytes   int         `json:"value_bytes"`
-	Registers    int         `json:"registers"`
-	DurationSecs float64     `json:"step_duration_secs"`
-	PeakOpsPS    float64     `json:"peak_achieved_ops_per_sec"`
-	Steps        []Result    `json:"sweep"`
-	WorkerModels []WorkerRow `json:"worker_models,omitempty"`
+	Conns        int      `json:"conns"`
+	Depth        int      `json:"depth"`
+	ReadFrac     float64  `json:"read_frac"`
+	ValueBytes   int      `json:"value_bytes"`
+	Registers    int      `json:"registers"`
+	DurationSecs float64  `json:"step_duration_secs"`
+	PeakOpsPS    float64  `json:"peak_achieved_ops_per_sec"`
+	Steps        []Result `json:"sweep"`
 	// VSizes is the value-size axis: one closed-loop peak probe per write
 	// payload size (rows named "vsize-<bytes>").
 	VSizes []Result `json:"value_size_sweep,omitempty"`
@@ -71,12 +60,10 @@ type ReplicaModeRow struct {
 }
 
 // ReplicaLoadDoc is the BENCH_replica_load.json document: the replicated
-// register under the cluster load generator. EnginePeak vs LegacyPeak is
-// the tentpole comparison — the persistent quorum engine against the
-// per-op-goroutine client on the identical workload — and Speedup must
-// clear MinSpeedup (the self-gate recorded alongside the data). Modes
-// holds one saturation row per protocol variant on the engine, Sweep the
-// engine's open-loop latency curve at fractions of its peak.
+// register under the cluster load generator. EnginePeak is the quorum
+// engine's closed-loop peak in the selected mode, Modes holds one
+// saturation row per protocol variant, and Sweep the open-loop latency
+// curve at fractions of the peak.
 type ReplicaLoadDoc struct {
 	Replicas     int              `json:"replicas"`
 	Clients      int              `json:"clients"`
@@ -85,9 +72,6 @@ type ReplicaLoadDoc struct {
 	ValueBytes   int              `json:"value_bytes"`
 	DurationSecs float64          `json:"step_duration_secs"`
 	EnginePeak   float64          `json:"engine_peak_ops_per_sec"`
-	LegacyPeak   float64          `json:"legacy_peak_ops_per_sec"`
-	Speedup      float64          `json:"engine_speedup"`
-	MinSpeedup   float64          `json:"min_speedup"`
 	Modes        []ReplicaModeRow `json:"modes,omitempty"`
 	Sweep        []Result         `json:"sweep,omitempty"`
 }

@@ -189,8 +189,8 @@ func dialConn(addr string, depth, ring int) (*lgConn, error) {
 		depth: uint64(depth),
 		wake:  make(chan struct{}, 1),
 	}
-	cn.wr = wire.NewWriter(wire.Binary, cn.bw)
-	cn.rd = wire.NewReader(wire.Binary, bufio.NewReaderSize(conn, connBufSize))
+	cn.wr = wire.NewWriter(cn.bw)
+	cn.rd = wire.NewReader(bufio.NewReaderSize(conn, connBufSize))
 	return cn, nil
 }
 

@@ -38,7 +38,6 @@ type dialConfig struct {
 	timeout    time.Duration
 	rpc        *obs.RPC
 	wire       *obs.Wire
-	codec      wire.Codec
 	regName    string
 	dial       func(addr string) (net.Conn, error)
 	retry      RetryPolicy
@@ -70,14 +69,6 @@ func WithRPCStats(r *obs.RPC) DialOption {
 // across clients.
 func WithWireStats(w *obs.Wire) DialOption {
 	return func(c *dialConfig) { c.wire = w }
-}
-
-// WithCodec selects the frame encoding this client speaks (the default is
-// the binary framing; wire.JSON restores the original newline-delimited
-// JSON for wire-compat tests). The server sniffs and answers in kind, so
-// no configuration is needed on its side.
-func WithCodec(c wire.Codec) DialOption {
-	return func(cfg *dialConfig) { cfg.codec = c }
 }
 
 // WithRegister aims the client at a named register instance on a
@@ -176,7 +167,6 @@ type Client[V any] struct {
 	timeout    time.Duration
 	rpc        *obs.RPC
 	ws         *obs.Wire
-	codec      wire.Codec
 	regName    string
 	retry      RetryPolicy
 	breakAfter int
@@ -254,7 +244,6 @@ func Dial[V any](addr string, opts ...DialOption) (*Client[V], error) {
 		timeout:    cfg.timeout,
 		rpc:        cfg.rpc,
 		ws:         cfg.wire,
-		codec:      cfg.codec,
 		regName:    cfg.regName,
 		retry:      cfg.retry,
 		breakAfter: cfg.breakAfter,
@@ -332,7 +321,7 @@ func (c *Client[V]) getConn() (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netreg: connect %s: %w", c.addr, err)
 	}
-	cc := newClientConn(conn, c.codec, c.ws)
+	cc := newClientConn(conn, c.ws)
 
 	c.connMu.Lock()
 	if c.closed {
@@ -454,7 +443,7 @@ func (c *Client[V]) breakerFail() {
 func (c *Client[V]) roundTrip(req *wire.Request) (wire.Response, error) {
 	op := obs.RPCWrite
 	switch req.Op {
-	case "read", "qread", "qts":
+	case "read", "qread":
 		op = obs.RPCRead
 	}
 	if c.isClosed() {
@@ -570,16 +559,23 @@ func isTimeout(err error) bool {
 		(errors.As(err, &ne) && ne.Timeout())
 }
 
-// Do performs one logical round trip for a caller-built request — the
-// hook by which the replica quorum client (internal/replica) reuses this
-// client's whole recovery stack (pipelining, retry with per-client
-// jittered backoff, reconnect, circuit breaker, at-most-once dedup
-// identity) per replica. The client owns the request's identity: ID, Seq,
+// Do performs one logical round trip for a caller-built request,
+// through this client's whole recovery stack (pipelining, retry with
+// per-client jittered backoff, reconnect, circuit breaker, at-most-once
+// dedup identity). The client owns the request's identity: ID, Seq,
 // Client, and Reg are overwritten. A server error reply is returned as a
 // non-nil error alongside the response. The response value does not alias
 // the connection's frame buffer and is safe to retain.
+//
+// The op must be "read", "write", "qread" or "qwrite". Any other op fails
+// at once with an error wrapping wire.ErrUnknownOp; nothing is sent and
+// the connection is untouched.
 func (c *Client[V]) Do(req *wire.Request) (wire.Response, error) {
-	return c.roundTrip(req)
+	switch req.Op {
+	case "read", "write", "qread", "qwrite":
+		return c.roundTrip(req)
+	}
+	return wire.Response{}, fmt.Errorf("%w %q", wire.ErrUnknownOp, req.Op)
 }
 
 // Addr returns the server address the client dials.

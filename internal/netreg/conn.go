@@ -62,12 +62,12 @@ type clientConn struct {
 
 // newClientConn wraps an established connection and starts its writer and
 // reader goroutines.
-func newClientConn(conn net.Conn, codec wire.Codec, ws *obs.Wire) *clientConn {
+func newClientConn(conn net.Conn, ws *obs.Wire) *clientConn {
 	rwc := StatConn(conn, ws)
 	cc := &clientConn{
 		conn:    conn,
-		wr:      wire.NewWriter(codec, bufio.NewWriterSize(rwc, clientBufSize)),
-		rd:      wire.NewReader(codec, bufio.NewReaderSize(rwc, clientBufSize)),
+		wr:      wire.NewWriter(bufio.NewWriterSize(rwc, clientBufSize)),
+		rd:      wire.NewReader(bufio.NewReaderSize(rwc, clientBufSize)),
 		ws:      ws,
 		sendq:   make(chan *call, sendQueueDepth),
 		down:    make(chan struct{}),

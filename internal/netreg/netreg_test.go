@@ -1,15 +1,24 @@
 package netreg_test
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/netreg"
+	"repro/internal/obs"
 	"repro/internal/proof"
+	"repro/internal/wire"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -99,6 +108,107 @@ func TestServerErrors(t *testing.T) {
 	// The connection survives a server-side error.
 	if _, _, err := c.ReadErr(0); err != nil {
 		t.Fatalf("connection did not survive: %v", err)
+	}
+}
+
+// TestDoRefusesUnknownOp checks that a misspelled op never reaches the
+// server as some other op: Do fails at once with wire.ErrUnknownOp, no
+// frame is sent, no write is applied, and the same client keeps working.
+func TestDoRefusesUnknownOp(t *testing.T) {
+	srv, err := netreg.NewServer("127.0.0.1:0", "v0", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ws := obs.NewWire()
+	c, err := netreg.Dial[string](srv.Addr(), netreg.WithTimeout(5*time.Second), netreg.WithWireStats(ws))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	_, err = c.Do(&wire.Request{Op: "wrtie", Val: json.RawMessage(`"typo"`)})
+	if !errors.Is(err, wire.ErrUnknownOp) || !strings.Contains(err.Error(), `"wrtie"`) {
+		t.Fatalf("Do with a misspelled op: err = %v, want wire.ErrUnknownOp naming the op", err)
+	}
+	if _, out := ws.Frames(); out != 0 {
+		t.Fatalf("%d frames sent for a refused op, want 0", out)
+	}
+	if n := srv.Store().Counters().Writes(); n != 0 {
+		t.Fatalf("server applied %d writes, want 0", n)
+	}
+	v, _, err := c.ReadErr(0)
+	if err != nil || v != "v0" {
+		t.Fatalf("read after the refused op = %q, %v; want \"v0\"", v, err)
+	}
+}
+
+// TestServerDropsForeignBytes opens raw connections that send what a
+// binary server cannot frame — a JSON line, a length prefix over
+// wire.MaxFrame, a frame with an unknown kind byte — and checks the
+// server closes each without a reply and without touching the register,
+// while a normal client on its own connection keeps working throughout.
+func TestServerDropsForeignBytes(t *testing.T) {
+	srv, err := netreg.NewServer("127.0.0.1:0", "v0", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	good, err := netreg.Dial[string](srv.Addr(), netreg.WithTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+
+	// A well-formed read frame with its kind byte (the first payload
+	// byte) set to 0x05, a kind no request has.
+	var frame bytes.Buffer
+	w := wire.NewWriter(bufio.NewWriter(&frame))
+	if err := w.WriteRequest(&wire.Request{ID: 1, Op: "read"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	unknownKind := frame.Bytes()
+	unknownKind[4] = 0x05
+	over := wire.MaxFrame + 1
+
+	ctr := srv.Store().Counters()
+	for _, tc := range []struct {
+		name string
+		send []byte
+	}{
+		{"json", []byte(`{"op":"write","val":"\"evil\""}` + "\n")},
+		{"oversized", []byte{byte(over >> 24), byte(over >> 16), byte(over >> 8), byte(over), 0x01}},
+		{"unknown-kind", unknownKind},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reads, writes := ctr.TotalReads(), ctr.Writes()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.send); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, err := conn.Read(make([]byte, 64))
+			if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("after foreign bytes the server replied %d bytes (err %v); want the connection closed with no reply", n, err)
+			}
+			if r, w := ctr.TotalReads(), ctr.Writes(); r != reads || w != writes {
+				t.Fatalf("foreign bytes moved the register: reads %d -> %d, writes %d -> %d", reads, r, writes, w)
+			}
+
+			if _, err := good.WriteErr(tc.name); err != nil {
+				t.Fatalf("normal client write: %v", err)
+			}
+			if v, _, err := good.ReadErr(0); err != nil || v != tc.name {
+				t.Fatalf("normal client read = %q, %v; want %q", v, err, tc.name)
+			}
+		})
 	}
 }
 

@@ -40,14 +40,9 @@ func TestPipelineDepthOverlaps(t *testing.T) {
 				return err
 			}
 			defer conn.Close()
-			br := bufio.NewReader(conn)
-			codec, err := wire.Sniff(br)
-			if err != nil {
-				return err
-			}
-			rd := wire.NewReader(codec, br)
+			rd := wire.NewReader(bufio.NewReader(conn))
 			bw := bufio.NewWriter(conn)
-			wr := wire.NewWriter(codec, bw)
+			wr := wire.NewWriter(bw)
 			var reqs []wire.Request
 			for len(reqs) < depth {
 				var req wire.Request
@@ -288,51 +283,6 @@ func TestGarbledBinaryFramesRecover(t *testing.T) {
 	}
 	if want := fmt.Sprintf("v%02d", writes-1); v != want {
 		t.Fatalf("final value = %q, want %q (corrupted write applied)", v, want)
-	}
-}
-
-// TestCodecCompat runs the same traffic over both codecs and mixes them on
-// one listener: the server sniffs each connection's first byte, so a JSON
-// client (the original newline-delimited framing) and a binary client
-// coexist against the same store.
-func TestCodecCompat(t *testing.T) {
-	srv, err := netreg.NewServer("127.0.0.1:0", "init", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	jc, err := netreg.Dial[string](srv.Addr(), netreg.WithCodec(wire.JSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jc.Close()
-	bc, err := netreg.Dial[string](srv.Addr(), netreg.WithCodec(wire.Binary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bc.Close()
-
-	s1, err := jc.WriteErr("from-json")
-	if err != nil {
-		t.Fatalf("json write: %v", err)
-	}
-	v, s2, err := bc.ReadErr(0)
-	if err != nil {
-		t.Fatalf("binary read: %v", err)
-	}
-	if v != "from-json" || s2 <= s1 {
-		t.Fatalf("binary read after json write = %q stamp %d (write stamp %d)", v, s2, s1)
-	}
-	if _, err := bc.WriteErr("from-binary"); err != nil {
-		t.Fatalf("binary write: %v", err)
-	}
-	v, _, err = jc.ReadErr(0)
-	if err != nil {
-		t.Fatalf("json read: %v", err)
-	}
-	if v != "from-binary" {
-		t.Fatalf("json read after binary write = %q", v)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/netreg"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // TestCloseInterruptsHungRoundTrip is the regression test for the Close
@@ -51,17 +52,47 @@ func TestCloseInterruptsHungRoundTrip(t *testing.T) {
 	}
 }
 
-// rawExchange sends one raw JSON frame and decodes one reply, bypassing
-// the client (for wire-level server tests).
-func rawExchange(t *testing.T, conn net.Conn, dec *json.Decoder, frame string) map[string]any {
+// rawConn speaks the binary wire protocol over a bare connection,
+// bypassing the client, so a test controls every request field itself —
+// the dedup client id and sequence number included.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	wr   *wire.Writer
+	rd   *wire.Reader
+}
+
+// dialRaw opens a raw protocol connection to addr, closed at test end.
+func dialRaw(t *testing.T, addr string) *rawConn {
 	t.Helper()
-	if _, err := conn.Write([]byte(frame + "\n")); err != nil {
-		t.Fatalf("send %s: %v", frame, err)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var resp map[string]any
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatalf("decode reply to %s: %v", frame, err)
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{
+		t:    t,
+		conn: conn,
+		wr:   wire.NewWriter(bufio.NewWriter(conn)),
+		rd:   wire.NewReader(bufio.NewReader(conn)),
 	}
+}
+
+// exchange sends one request frame and decodes its reply. The reply's
+// value is copied out of the reader's reused frame buffer.
+func (rc *rawConn) exchange(req wire.Request) wire.Response {
+	rc.t.Helper()
+	if err := rc.wr.WriteRequest(&req); err != nil {
+		rc.t.Fatalf("send %+v: %v", req, err)
+	}
+	if err := rc.wr.Flush(); err != nil {
+		rc.t.Fatalf("send %+v: %v", req, err)
+	}
+	var resp wire.Response
+	if err := rc.rd.ReadResponse(&resp); err != nil {
+		rc.t.Fatalf("reply to %+v: %v", req, err)
+	}
+	resp.Val = append(json.RawMessage(nil), resp.Val...)
 	return resp
 }
 
@@ -75,26 +106,19 @@ func TestInvalidWriteValueRejected(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-
-	resp := rawExchange(t, conn, dec, `{"op":"write"}`)
-	errMsg, _ := resp["err"].(string)
-	if !strings.Contains(errMsg, "invalid write value") {
-		t.Fatalf("write with no value replied %v, want an invalid-value error", resp)
+	rc := dialRaw(t, srv.Addr())
+	resp := rc.exchange(wire.Request{Op: "write"})
+	if !strings.Contains(resp.Err, "invalid write value") {
+		t.Fatalf("write with no value replied %+v, want an invalid-value error", resp)
 	}
 
 	// The connection survives, and the register still holds valid JSON.
-	resp = rawExchange(t, conn, dec, `{"op":"read","port":0}`)
-	if resp["err"] != nil {
-		t.Fatalf("read after rejected write: %v", resp["err"])
+	resp = rc.exchange(wire.Request{Op: "read", Port: 0})
+	if resp.Err != "" {
+		t.Fatalf("read after rejected write: %s", resp.Err)
 	}
-	if got := resp["val"]; got != "good" {
-		t.Fatalf("register value after rejected write = %v, want %q", got, "good")
+	if got := string(resp.Val); got != `"good"` {
+		t.Fatalf("register value after rejected write = %s, want %q", got, `"good"`)
 	}
 	if n := srv.Store().Counters().Writes(); n != 0 {
 		t.Fatalf("rejected write was applied (%d writes)", n)
@@ -115,18 +139,15 @@ func TestWriteDedupAtMostOnce(t *testing.T) {
 	srv.Store().SetDedupWindow(3)
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	rc := dialRaw(t, srv.Addr())
+	write := func(val string, client string, seq uint64) wire.Response {
+		return rc.exchange(wire.Request{Op: "write", Val: json.RawMessage(val), Client: client, Seq: seq})
 	}
-	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
 
-	frame := `{"op":"write","val":"\"once\"","client":"c1","seq":7}`
-	first := rawExchange(t, conn, dec, frame)
-	retried := rawExchange(t, conn, dec, frame)
-	if first["stamp"] != retried["stamp"] {
-		t.Fatalf("retried write got stamp %v, original %v — applied twice", retried["stamp"], first["stamp"])
+	first := write(`"once"`, "c1", 7)
+	retried := write(`"once"`, "c1", 7)
+	if first.Err != "" || first.Stamp != retried.Stamp {
+		t.Fatalf("retried write got stamp %d, original %d (err %q) — applied twice", retried.Stamp, first.Stamp, first.Err)
 	}
 	if n := srv.Store().Counters().Writes(); n != 1 {
 		t.Fatalf("write applied %d times, want exactly once", n)
@@ -135,9 +156,8 @@ func TestWriteDedupAtMostOnce(t *testing.T) {
 	// seq 3 arrives after seq 7 — out of order but never seen, so it is a
 	// legitimate first arrival (a pipelined burst's frames may be enqueued
 	// in any order) and must apply.
-	ooo := rawExchange(t, conn, dec, `{"op":"write","val":"\"ooo\"","client":"c1","seq":3}`)
-	if ooo["err"] != nil {
-		t.Fatalf("out-of-order first write refused: %v", ooo["err"])
+	if ooo := write(`"ooo"`, "c1", 3); ooo.Err != "" {
+		t.Fatalf("out-of-order first write refused: %s", ooo.Err)
 	}
 	if n := srv.Store().Counters().Writes(); n != 2 {
 		t.Fatalf("writes applied = %d, want 2", n)
@@ -146,26 +166,21 @@ func TestWriteDedupAtMostOnce(t *testing.T) {
 	// Push seqs 8 and 9: with a window of 3 holding {3,8,9}, seq 7 has
 	// been evicted and a late replay of it can no longer be verified — it
 	// must be refused, never re-applied.
-	for _, f := range []string{
-		`{"op":"write","val":"\"w8\"","client":"c1","seq":8}`,
-		`{"op":"write","val":"\"w9\"","client":"c1","seq":9}`,
-	} {
-		if r := rawExchange(t, conn, dec, f); r["err"] != nil {
-			t.Fatalf("fill write refused: %v", r["err"])
+	for seq := uint64(8); seq <= 9; seq++ {
+		if r := write(`"fill"`, "c1", seq); r.Err != "" {
+			t.Fatalf("fill write refused: %s", r.Err)
 		}
 	}
-	stale := rawExchange(t, conn, dec, frame)
-	if msg, _ := stale["err"].(string); !strings.Contains(msg, "stale") {
-		t.Fatalf("evicted-seq replay replied %v, want a stale error", stale)
+	if stale := write(`"once"`, "c1", 7); !strings.Contains(stale.Err, "stale") {
+		t.Fatalf("evicted-seq replay replied %+v, want a stale error", stale)
 	}
 	if n := srv.Store().Counters().Writes(); n != 4 {
 		t.Fatalf("writes applied = %d, want 4", n)
 	}
 
 	// A different client is not confused by c1's dedup state.
-	other := rawExchange(t, conn, dec, `{"op":"write","val":"\"theirs\"","client":"c2","seq":1}`)
-	if other["err"] != nil {
-		t.Fatalf("other client's write: %v", other["err"])
+	if other := write(`"theirs"`, "c2", 1); other.Err != "" {
+		t.Fatalf("other client's write: %s", other.Err)
 	}
 	if n := srv.Store().Counters().Writes(); n != 5 {
 		t.Fatalf("writes applied = %d, want 5", n)

@@ -6,16 +6,15 @@
 // peer's progress to finish its own operation.
 //
 // The transport is built for throughput (see internal/wire): compact
-// length-prefixed binary frames by default, assembled in pooled buffers
-// and written through buffered writers so a batch of frames costs one
-// syscall, with the original newline-delimited JSON framing still spoken
-// for wire-compatibility tests (WithCodec). The server negotiates by
-// sniffing the first byte of each connection, so one listener serves both
-// codecs at once. Clients pipeline: every request carries an id, a writer
-// goroutine multiplexes all in-flight operations of a connection, and a
-// reader goroutine dispatches responses back to the waiting callers — the
-// connection is never idle waiting for one round trip to finish before
-// the next may start. The server assigns each access's *-action stamp
+// length-prefixed binary frames, assembled in pooled buffers and written
+// through buffered writers so a batch of frames costs one syscall. The
+// server reads binary frames from a connection's first byte and handles
+// each request inline on the connection's goroutine; a connection that
+// sends anything else fails framing and is dropped. Clients pipeline:
+// every request carries an id, a writer goroutine multiplexes all
+// in-flight operations of a connection, and a reader goroutine dispatches
+// responses back to the waiting callers — the connection is never idle
+// waiting for one round trip to finish before the next may start. The server assigns each access's *-action stamp
 // inside its register's critical section, so runs over the network remain
 // certifiable by package proof when the servers share a sequencer (as
 // in-process tests do), pipelined or not.
@@ -42,7 +41,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/history"
 	"repro/internal/obs"
@@ -59,7 +57,6 @@ type ServeOption func(*serveConfig)
 
 type serveConfig struct {
 	wire    *obs.Wire
-	workers int
 	journal *obs.Journal
 }
 
@@ -70,31 +67,12 @@ func WithServerWire(w *obs.Wire) ServeOption {
 	return func(c *serveConfig) { c.wire = w }
 }
 
-// WithWorkers selects the per-connection worker model:
-//
-//   - 0 (the default): requests are handled inline on the connection's
-//     read goroutine — no handoff, no copies, the fastest model when the
-//     handler never blocks (which register accesses don't).
-//   - n > 0: a bounded pool of n workers per connection; the read
-//     goroutine decodes and dispatches, so a request that does block
-//     stalls only its worker, not the whole pipeline.
-//   - n < 0: one goroutine per request — unbounded concurrency, useful
-//     as the ceiling case in worker-model benchmarks.
-//
-// Dispatched requests are copied out of the decoder's reused frame
-// buffer first (see the wire.Reader aliasing contract), which is part of
-// the price the non-inline models pay per request.
-func WithWorkers(n int) ServeOption {
-	return func(c *serveConfig) { c.workers = n }
-}
-
 // Server hosts a Store's registers behind a listener. Values travel and
 // are stored as canonical JSON, so the server is value-type agnostic.
 type Server struct {
-	st      *Store
-	ws      *obs.Wire
-	jnl     *obs.Journal
-	workers int
+	st  *Store
+	ws  *obs.Wire
+	jnl *obs.Journal
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -127,12 +105,11 @@ func Serve(addr string, st *Store, opts ...ServeOption) (*Server, error) {
 		return nil, fmt.Errorf("netreg: listen: %w", err)
 	}
 	s := &Server{
-		st:      st,
-		ws:      cfg.wire,
-		jnl:     cfg.journal,
-		workers: cfg.workers,
-		ln:      ln,
-		conns:   make(map[net.Conn]struct{}),
+		st:    st,
+		ws:    cfg.wire,
+		jnl:   cfg.journal,
+		ln:    ln,
+		conns: make(map[net.Conn]struct{}),
 	}
 	s.handlers.Add(1)
 	go s.acceptLoop()
@@ -184,8 +161,18 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serve pumps one connection: sniff the codec, then hand the framed
-// stream to the configured worker model (WithWorkers).
+// serve pumps one connection: decode, handle, and encode on the one
+// connection goroutine. Responses are buffered and flushed only when no
+// received request remains — so a pipelined burst is answered with one
+// syscall, while a serial client still gets every reply immediately (its
+// next request hasn't arrived yet, so the buffer is empty and the flush
+// fires). The request, the response value buffer, and the encoder
+// scratch are all reused across iterations: the loop allocates nothing
+// in steady state. A frame that fails to decode — a foreign protocol, an
+// oversized length prefix, an unknown kind byte — ends the connection
+// without a reply.
+// The journal tap (WithJournal) brackets the handle call: one clock read
+// and one record when enabled, a single nil check when not.
 func (s *Server) serve(conn net.Conn) {
 	defer s.handlers.Done()
 	defer func() {
@@ -195,38 +182,13 @@ func (s *Server) serve(conn net.Conn) {
 		conn.Close()
 	}()
 	rwc := StatConn(conn, s.ws)
-	br := bufio.NewReaderSize(rwc, serverBufSize)
-	bw := bufio.NewWriterSize(rwc, serverBufSize)
-	codec, err := wire.Sniff(br)
-	if err != nil {
-		return // client went away before its first byte
-	}
-	rd := wire.NewReader(codec, br)
-	wr := wire.NewWriter(codec, bw)
+	rd := wire.NewReader(bufio.NewReaderSize(rwc, serverBufSize))
+	wr := wire.NewWriter(bufio.NewWriterSize(rwc, serverBufSize))
 	var tap *connTap
 	if s.jnl != nil {
 		tap = newConnTap(s.jnl)
 		defer tap.close()
 	}
-	if s.workers == 0 {
-		s.serveInline(rd, wr, tap)
-	} else {
-		s.serveWorkers(rd, wr, s.workers, tap)
-	}
-}
-
-// serveInline is the default worker model: decode, handle, and encode on
-// the one connection goroutine. Responses are buffered and flushed only
-// when no decoded request remains — so a pipelined burst is answered
-// with one syscall, while a serial client still gets every reply
-// immediately (its next request hasn't arrived yet, so the buffer state
-// is empty and the flush fires). The request, the response value buffer,
-// and the encoder scratch are all reused across iterations: the loop
-// allocates nothing in steady state.
-// The journal tap (WithJournal) brackets the handle call: one clock read
-// and one atomic store on each side when enabled, a single nil check when
-// not.
-func (s *Server) serveInline(rd *wire.Reader, wr *wire.Writer, tap *connTap) {
 	var (
 		req    wire.Request
 		resp   wire.Response
@@ -246,126 +208,15 @@ func (s *Server) serveInline(rd *wire.Reader, wr *wire.Writer, tap *connTap) {
 		if tap == nil {
 			valBuf = s.st.handle(&req, &resp, valBuf)
 		} else {
-			inv := tap.beginInline()
+			inv := tap.begin()
 			valBuf = s.st.handle(&req, &resp, valBuf)
-			tap.recordInline(&req, &resp, inv)
+			tap.record(&req, &resp, inv)
 		}
 		if err := wr.WriteResponse(&resp); err != nil {
 			return
 		}
 		s.ws.FrameOut()
 	}
-}
-
-// reqPool recycles request copies for the dispatching worker models.
-var reqPool = sync.Pool{New: func() any { return new(wire.Request) }}
-
-// copyReq copies a decoded request out of the reader's reused frame
-// buffer into a pooled request that may outlive the next decode.
-// (Reg and Client are interned by the reader and safe to retain as is.)
-func copyReq(req *wire.Request) *wire.Request {
-	cp := reqPool.Get().(*wire.Request)
-	buf := cp.Val
-	*cp = *req
-	cp.Val = append(buf[:0], req.Val...)
-	return cp
-}
-
-// putReq returns a request copy to the pool, dropping buffers one
-// oversized value grew past the steady-state cap.
-func putReq(cp *wire.Request) {
-	if cap(cp.Val) > serverBufSize {
-		cp.Val = nil
-	}
-	reqPool.Put(cp)
-}
-
-// serveWorkers is the dispatching worker model: the connection goroutine
-// decodes and dispatches, and workers (a bounded pool of n for n > 0,
-// a fresh goroutine per request for n < 0) handle and encode. Encoding
-// serializes on a per-connection mutex; the worker that retires the last
-// in-flight request flushes, which batches a pipelined burst's responses
-// the way the inline model's buffered-request check does.
-// With a journal tap, invocations are stamped on the (sequential) decode
-// goroutine and completions recorded through the tap's gate, which keeps
-// the horizon sound despite out-of-order completion (see connTap).
-func (s *Server) serveWorkers(rd *wire.Reader, wr *wire.Writer, n int, tap *connTap) {
-	var (
-		wmu      sync.Mutex
-		inflight atomic.Int64
-		wg       sync.WaitGroup
-	)
-	handleOne := func(req *wire.Request, valBuf []byte, inv, handle int64) []byte {
-		var resp wire.Response
-		valBuf = s.st.handle(req, &resp, valBuf)
-		if tap != nil {
-			tap.recordGated(req, &resp, inv, handle)
-		}
-		wmu.Lock()
-		if err := wr.WriteResponse(&resp); err == nil {
-			s.ws.FrameOut()
-			if inflight.Add(-1) == 0 {
-				wr.Flush()
-			}
-		} else {
-			// The connection is broken; keep draining requests so the
-			// reader's teardown never blocks, but stop encoding.
-			inflight.Add(-1)
-		}
-		wmu.Unlock()
-		return valBuf
-	}
-
-	type workItem struct {
-		req         *wire.Request
-		inv, handle int64
-	}
-	var work chan workItem
-	if n > 0 {
-		work = make(chan workItem, n)
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var valBuf []byte
-				for it := range work {
-					valBuf = handleOne(it.req, valBuf, it.inv, it.handle)
-					putReq(it.req)
-				}
-			}()
-		}
-	}
-
-	var req wire.Request
-	for {
-		if err := rd.ReadRequest(&req); err != nil {
-			break // client went away (or sent garbage; drop the link)
-		}
-		s.ws.FrameIn()
-		inflight.Add(1)
-		cp := copyReq(&req)
-		var inv, handle int64
-		if tap != nil {
-			inv, handle = tap.beginGated()
-		}
-		if n > 0 {
-			work <- workItem{req: cp, inv: inv, handle: handle}
-		} else {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				handleOne(cp, nil, inv, handle)
-				putReq(cp)
-			}()
-		}
-	}
-	if work != nil {
-		close(work)
-	}
-	wg.Wait()
-	wmu.Lock()
-	wr.Flush()
-	wmu.Unlock()
 }
 
 // ErrClosed is returned by clients after Close.

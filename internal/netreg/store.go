@@ -43,7 +43,7 @@ type regState struct {
 	reg *register.Atomic[string]
 
 	// The replica q-cell: the timestamped value the ABD quorum ops
-	// (qread/qts/qwrite) serve. It is deliberately separate from reg —
+	// (qread/qwrite) serve. It is deliberately separate from reg —
 	// the paper's two-writer register has its own port discipline and
 	// sequencer, while the q-cell is a plain (ts, wid, val) triple whose
 	// only invariant is monotone lexicographic growth under qwrite
@@ -61,68 +61,7 @@ type regState struct {
 	// applied twice — or trip the register's single-writer panic.
 	writeMu sync.Mutex
 	applied map[string]*clientWindow
-
-	// pendMu/pend is the flat-combining publication list (see
-	// SetWriteCombining): writers enqueue here, and whichever of them
-	// holds writeMu applies the whole batch in one critical section.
-	// free is the previously drained array, recycled so steady-state
-	// publishes append into warm capacity instead of reallocating the
-	// list every batch.
-	pendMu sync.Mutex
-	pend   []*writeOp
-	free   []*writeOp
 }
-
-// publish enqueues one write on the combining list.
-//
-//bloom:noalloc
-func (rs *regState) publish(op *writeOp) {
-	rs.pendMu.Lock()
-	rs.pend = append(rs.pend, op)
-	rs.pendMu.Unlock()
-}
-
-// drain takes the current combining list for the lock holder to apply,
-// installing the previously drained array (emptied, capacity intact) as
-// the new list.
-//
-//bloom:noalloc
-func (rs *regState) drain() []*writeOp {
-	rs.pendMu.Lock()
-	batch := rs.pend
-	rs.pend = rs.free[:0]
-	rs.free = nil
-	rs.pendMu.Unlock()
-	return batch
-}
-
-// recycle returns an applied batch's array for the next drain to reuse.
-// Entries are cleared so the array does not pin writeOps now back in the
-// pool.
-//
-//bloom:noalloc
-func (rs *regState) recycle(batch []*writeOp) {
-	for i := range batch {
-		batch[i] = nil
-	}
-	rs.pendMu.Lock()
-	rs.free = batch[:0]
-	rs.pendMu.Unlock()
-}
-
-// writeOp is one write published to a register's combining list. The
-// enqueuing goroutine blocks on writeMu until the op is applied — by
-// itself or by an earlier lock holder — so req and resp stay valid for
-// the combiner to fill in.
-type writeOp struct {
-	req     *wire.Request
-	resp    *wire.Response
-	applied bool // written and read only under writeMu
-}
-
-// writeOpPool recycles writeOps so the combining path stays
-// allocation-free in steady state.
-var writeOpPool = sync.Pool{New: func() any { return new(writeOp) }}
 
 // storeShard is one bucket of the register-name map. The trailing pad
 // keeps adjacent shards on separate cache lines, so lookups of
@@ -146,12 +85,7 @@ type Store struct {
 	// window is the dedup window per client per register. Atomic because
 	// SetDedupWindow may race with serving goroutines reading it on the
 	// write path; a torn plain int would silently corrupt eviction.
-	window  atomic.Int64
-	combine atomic.Bool
-	// valCap caps the per-connection reusable response value buffer (see
-	// handle). Atomic for the same reason as window: SetValBufCap may race
-	// with serving goroutines consulting it after every read.
-	valCap atomic.Int64
+	window atomic.Int64
 	shards [storeShards]storeShard
 }
 
@@ -159,7 +93,6 @@ type Store struct {
 func newStore() *Store {
 	st := &Store{}
 	st.window.Store(DefaultDedupWindow)
-	st.valCap.Store(DefaultValBufCap)
 	for i := range st.shards {
 		st.shards[i].regs = make(map[string]*regState)
 	}
@@ -214,15 +147,6 @@ func (st *Store) SetDedupWindow(n int) {
 		st.window.Store(int64(n))
 	}
 }
-
-// SetWriteCombining toggles flat-combining write batching: concurrent
-// writes to one register publish themselves to its combining list, and
-// whichever writer holds the serialization lock applies the whole batch
-// in one critical section — turning W contending lock handoffs into one
-// acquisition doing W applies. Off by default (a single pipelined
-// connection's writes are already serial); turn it on when many
-// connections write the same register. Safe to toggle while serving.
-func (st *Store) SetWriteCombining(on bool) { st.combine.Store(on) }
 
 // shard returns the bucket for a register name. The FNV-1a hash is
 // inlined rather than taken from hash/fnv: the Hash object and the
@@ -284,24 +208,25 @@ func (st *Store) RegisterCounters(name string) *register.Counters {
 	return rs.reg.Counters()
 }
 
-// DefaultValBufCap is the default cap on the response value buffer a
-// connection keeps between requests; one giant value must not pin its
-// capacity forever. Serving values larger than the cap works but
-// reallocates the buffer on every read — a workload whose steady-state
-// values exceed 64 KiB should raise the cap with SetValBufCap so the
-// buffer is retained instead of thrashing the allocator (the bug this
-// replaced a hard-wired cap to fix: bloomload's upper value-size rungs
-// paid one fresh multi-hundred-KiB allocation per op).
-const DefaultValBufCap = 64 << 10
+// valBufKeep is the capacity up to which a connection always keeps its
+// response value buffer between requests (see keepValBuf).
+const valBufKeep = 64 << 10
 
-// SetValBufCap overrides the per-connection value-buffer retention cap
-// (see DefaultValBufCap). Buffers that grew past the cap are dropped
-// after the response is encoded; buffers within it are reused across
-// requests. Safe to call while serving.
-func (st *Store) SetValBufCap(n int) {
-	if n > 0 {
-		st.valCap.Store(int64(n))
+// keepValBuf decides whether a connection keeps its response value
+// buffer after a read that copied n value bytes into it: always when the
+// buffer is at most valBufKeep, and past that only while it is at most
+// twice the value just served. Steady reads of any size therefore reuse
+// one buffer (no allocation per op), while one giant value followed by
+// small reads releases its capacity on the next read instead of pinning
+// it for the connection's lifetime.
+//
+//bloom:waitfree
+//bloom:noalloc
+func keepValBuf(buf []byte, n int) []byte {
+	if c := cap(buf); c > valBufKeep && c > 2*n {
+		return nil
 	}
+	return buf
 }
 
 // The fail* helpers format survivable error replies. Error construction
@@ -352,8 +277,6 @@ func (st *Store) handle(req *wire.Request, resp *wire.Response, valBuf []byte) [
 		st.writeReq(req, resp)
 	case "qread":
 		valBuf = st.qReadInto(req, resp, valBuf)
-	case "qts":
-		st.qTimestamp(req, resp)
 	case "qwrite":
 		st.qWriteBack(req, resp)
 	default:
@@ -363,10 +286,8 @@ func (st *Store) handle(req *wire.Request, resp *wire.Response, valBuf []byte) [
 	return valBuf
 }
 
-// writeReq validates and applies one write request into resp,
-// deduplicating retries. With combining off the caller applies under the
-// register's write lock itself; with combining on it publishes the op
-// and whichever writer holds the lock applies the whole batch.
+// writeReq validates and applies one write request into resp under the
+// register's write lock, deduplicating retries.
 //
 //bloom:noalloc
 func (st *Store) writeReq(req *wire.Request, resp *wire.Response) {
@@ -382,36 +303,9 @@ func (st *Store) writeReq(req *wire.Request, resp *wire.Response) {
 		failBadValue(resp, len(req.Val))
 		return
 	}
-	if !st.combine.Load() {
-		rs.writeMu.Lock()
-		st.applyWriteLocked(rs, req, resp)
-		rs.writeMu.Unlock()
-		return
-	}
-
-	// Flat combining: publish first, then take the lock. By the time the
-	// lock is held the op has either been applied by an earlier holder
-	// (who drained the list while this writer was parked) or is still on
-	// the list — in which case this writer drains the list itself,
-	// applying everyone's writes in one critical section. Either way no
-	// op is ever stranded: it cannot be on the list while the lock sits
-	// free with its owner past the drain.
-	op := writeOpPool.Get().(*writeOp)
-	op.req, op.resp, op.applied = req, resp, false
-	rs.publish(op)
-
 	rs.writeMu.Lock()
-	if !op.applied {
-		batch := rs.drain()
-		for _, o := range batch {
-			st.applyWriteLocked(rs, o.req, o.resp)
-			o.applied = true
-		}
-		rs.recycle(batch)
-	}
+	st.applyWriteLocked(rs, req, resp)
 	rs.writeMu.Unlock()
-	op.req, op.resp = nil, nil
-	writeOpPool.Put(op)
 }
 
 // applyWriteLocked deduplicates and applies one validated write under
@@ -481,10 +375,7 @@ func (st *Store) readInto(req *wire.Request, resp *wire.Response, valBuf []byte)
 	valBuf = append(valBuf[:0], v...)
 	resp.Val = valBuf
 	resp.Stamp = stamp
-	if int64(cap(valBuf)) > st.valCap.Load() {
-		return nil
-	}
-	return valBuf
+	return keepValBuf(valBuf, len(v))
 }
 
 // qReadInto serves one quorum read: the q-cell's (ts, wid, val), the
@@ -504,27 +395,7 @@ func (st *Store) qReadInto(req *wire.Request, resp *wire.Response, valBuf []byte
 	resp.WID = rs.qWID
 	rs.qMu.Unlock()
 	resp.Val = valBuf
-	if int64(cap(valBuf)) > st.valCap.Load() {
-		return nil
-	}
-	return valBuf
-}
-
-// qTimestamp serves one timestamp-only query (the message-frugal
-// variant's phase 1): the q-cell's (ts, wid) with no value bytes — a
-// constant-size reply regardless of the stored value.
-//
-//bloom:noalloc
-func (st *Store) qTimestamp(req *wire.Request, resp *wire.Response) {
-	rs := st.lookup(req.Reg)
-	if rs == nil {
-		failUnknownReg(resp, req.Reg)
-		return
-	}
-	rs.qMu.Lock()
-	resp.Stamp = rs.qTS
-	resp.WID = rs.qWID
-	rs.qMu.Unlock()
+	return keepValBuf(valBuf, len(valBuf))
 }
 
 // qWriteBack applies one ABD write-back: store (ts, wid, val) iff it is

@@ -17,64 +17,87 @@ func bigJSONVal(n int) []byte {
 	return v
 }
 
-// TestValBufCapRetainsLargeValues is the PR-9 thrashing regression test:
-// with the default 64 KiB cap, every read of a larger value drops the
-// connection buffer (one fresh allocation per op — the bug's symptom);
-// after SetValBufCap raises the cap past the value size, the buffer is
-// retained and the steady-state read path allocates nothing.
+// TestValBufCapRetainsLargeValues pins the connection value-buffer rule
+// on both read paths (plain and quorum): steady reads of a value larger
+// than 64 KiB keep their buffer and allocate nothing (the per-read
+// thrashing a fixed cap caused), while one giant value followed by a
+// small read releases the giant buffer instead of pinning it.
 func TestValBufCapRetainsLargeValues(t *testing.T) {
-	st, err := NewStore("x", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	val := bigJSONVal(128 << 10) // 2× the default cap
-	var resp wire.Response
-	st.handle(&wire.Request{Op: "qwrite", TS: 1, WID: 1, Val: val}, &resp, nil)
-	if resp.Err != "" {
-		t.Fatalf("installing the large value: %s", resp.Err)
-	}
+	for _, tc := range []struct {
+		name  string
+		write func(val []byte, ts int64) *wire.Request
+		read  *wire.Request
+	}{
+		{"read", func(val []byte, _ int64) *wire.Request {
+			return &wire.Request{Op: "write", Val: val}
+		}, &wire.Request{Op: "read"}},
+		{"qread", func(val []byte, ts int64) *wire.Request {
+			return &wire.Request{Op: "qwrite", TS: ts, WID: 1, Val: val}
+		}, &wire.Request{Op: "qread"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewStore("x", 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				resp wire.Response
+				ts   int64
+			)
+			install := func(val []byte) {
+				ts++
+				st.handle(tc.write(val, ts), &resp, nil)
+				if resp.Err != "" || resp.Dup {
+					t.Fatalf("installing a %d-byte value: err %q dup %v", len(val), resp.Err, resp.Dup)
+				}
+			}
+			big := bigJSONVal(128 << 10) // 2× the always-kept size
+			install(big)
+			valBuf := st.handle(tc.read, &resp, nil) // grow once
+			if valBuf == nil {
+				t.Fatalf("a %d-byte read dropped its own buffer", len(big))
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				valBuf = st.handle(tc.read, &resp, valBuf)
+			}); allocs != 0 {
+				t.Fatalf("reads of a %d-byte value allocate %.1f allocs/op, want 0", len(big), allocs)
+			}
+			if string(resp.Val) != string(big) {
+				t.Fatal("retained-buffer read corrupted the value")
+			}
 
-	read := &wire.Request{Op: "qread"}
-	if buf := st.handle(read, &resp, nil); buf != nil {
-		t.Fatalf("over-cap buffer (cap %d) retained under the default cap %d", cap(buf), DefaultValBufCap)
-	}
-
-	st.SetValBufCap(256 << 10)
-	valBuf := st.handle(read, &resp, nil) // grow once
-	if valBuf == nil {
-		t.Fatal("raised cap still dropped the buffer")
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		valBuf = st.handle(read, &resp, valBuf)
-	}); allocs != 0 {
-		t.Fatalf("reads of a %d-byte value allocate %.1f allocs/op under a raised cap, want 0", len(val), allocs)
-	}
-	if string(resp.Val) != string(val) || resp.Stamp != 1 || resp.WID != 1 {
-		t.Fatal("retained-buffer read corrupted the value")
+			small := bigJSONVal(1 << 10)
+			install(small)
+			if buf := st.handle(tc.read, &resp, valBuf); buf != nil {
+				t.Fatalf("a %d-byte read kept the %d-byte buffer of an earlier giant value", len(small), cap(buf))
+			}
+			if string(resp.Val) != string(small) {
+				t.Fatal("read through the released buffer corrupted the value")
+			}
+			if buf := st.handle(tc.read, &resp, nil); buf == nil {
+				t.Fatal("a small read dropped its own buffer")
+			}
+		})
 	}
 }
 
 // BenchmarkStoreValBuf is a CI allocs/op gate (with BenchmarkFrame):
 // `go test -run=NONE -bench=BenchmarkStoreValBuf -benchmem` must report
-// 0 allocs/op for both sizes — val128Ki exceeds DefaultValBufCap and is
-// only allocation-free because the raised cap retains the buffer, which
-// is exactly the regression the gate keeps caught.
+// 0 allocs/op for both sizes — val128Ki is past the 64 KiB always-kept
+// size and is allocation-free only because the buffer rule retains a
+// buffer sized to the value being served.
 func BenchmarkStoreValBuf(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		size int
-		cap  int
 	}{
-		{"val1Ki-defaultCap", 1 << 10, 0},
-		{"val128Ki-raisedCap", 128 << 10, 256 << 10},
+		{"val1Ki", 1 << 10},
+		{"val128Ki", 128 << 10},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			st, err := NewStore("x", 1, nil)
 			if err != nil {
 				b.Fatal(err)
-			}
-			if bc.cap > 0 {
-				st.SetValBufCap(bc.cap)
 			}
 			val := bigJSONVal(bc.size)
 			var resp wire.Response

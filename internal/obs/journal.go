@@ -106,12 +106,9 @@ const (
 //     would fabricate an effect that never happened. Stale replica
 //     write-backs (a qwrite the q-cell already supersedes) carry it for
 //     the same reason: they ack without effect.
-//   - JMeta: a metadata-only exchange (a timestamp query, qts) with no
-//     register value to check.
 const (
 	JErr uint8 = 1 << iota
 	JDup
-	JMeta
 )
 
 // Rec is one completed operation in the journal. Records are fixed-size
@@ -142,8 +139,8 @@ const lowInvClosed = int64(^uint64(0) >> 1)
 
 // Source is one producer's journal ring. All recording methods must be
 // called from a single goroutine (or under one external serialization,
-// as the netreg worker models do); Drain must likewise have a single
-// consumer. The hot producer words and the consumer tail live on separate
+// as the quorum client's journal tap does); Drain must likewise have a
+// single consumer. The hot producer words and the consumer tail live on separate
 // cache lines, and the struct must only move by pointer.
 //
 //bloom:sharded

@@ -62,7 +62,7 @@ func benchClient(b *testing.B, mode replica.Mode, warm []byte) *replica.QClient 
 // path.
 func BenchmarkQuorumRead(b *testing.B) {
 	val, _ := json.Marshal("bench-value")
-	for _, mode := range []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFrugal} {
+	for _, mode := range []replica.Mode{replica.ModeABD, replica.ModeFast} {
 		b.Run(mode.String(), func(b *testing.B) {
 			q := benchClient(b, mode, val)
 			var buf []byte
@@ -87,30 +87,6 @@ func BenchmarkQuorumWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := q.Write(val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQuorumReadLegacy measures the PR 9 per-op-goroutine client on
-// the same workload, the baseline the bloombench -replica gate holds the
-// engine to (>= 2x at one-core saturation).
-func BenchmarkQuorumReadLegacy(b *testing.B) {
-	val, _ := json.Marshal("bench-value")
-	addrs := benchCluster(b, 3)
-	q, err := replica.DialLegacy(addrs, replica.Options{Mode: replica.ModeABD, WriterID: 1},
-		netreg.WithTimeout(time.Second))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { q.Close() })
-	if err := q.Write(val); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.Read(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,16 +1,13 @@
 // The quorum engine: a persistent, zero-allocation transport for the
-// QClient's phases. PR 9's client fanned every phase out by spawning m
-// goroutines and collecting replies on a fresh buffered channel — per
-// logical op that is 2×(m spawns + a garbage chan + boxed requests) over
-// a wire layer that is itself alloc-free. The engine inverts the shape:
-// each replica gets ONE long-lived dispatcher goroutine fed by a
-// mutex-light submission ring (a buffered channel of by-value items) and
-// ONE reader goroutine per connection generation; per-op state lives in
-// pooled records recycled through a freelist; majority completion is an
-// ack counter plus a per-op doorbell channel. Steady-state reads and
-// writes spawn nothing and allocate nothing — proven statically by
-// //bloom:noalloc on the hot path and at runtime by the allocs gate on
-// BenchmarkQuorumRead/BenchmarkQuorumWrite.
+// QClient's phases. Rather than fanning each phase out over fresh
+// goroutines and channels, each replica gets ONE long-lived dispatcher
+// goroutine fed by a mutex-light submission ring (a buffered channel of
+// by-value items) and ONE reader goroutine per connection generation;
+// per-op state lives in pooled records recycled through a freelist;
+// majority completion is an ack counter plus a per-op doorbell channel.
+// Steady-state reads and writes spawn nothing and allocate nothing —
+// proven statically by //bloom:noalloc on the hot path and at runtime by
+// the allocs gate on BenchmarkQuorumRead/BenchmarkQuorumWrite.
 //
 // # Lifecycle of one phase
 //
@@ -45,9 +42,8 @@
 // refreshed by the reader on every response), and a deadline expiry with
 // outstanding entries fails the whole connection — every in-flight item
 // is fail-acked, the socket is closed, and the dispatcher redials with
-// backoff. This is the deterministic answer to PR 9's
-// goroutine-blocked-on-send straggler audit: there is no per-op
-// goroutine to leak, and per-conn state is reclaimed on a timeout bound.
+// backoff. There is no per-op goroutine to leak blocked on a send, and
+// per-conn state is reclaimed on a timeout bound.
 package replica
 
 import (
@@ -90,13 +86,12 @@ const (
 // Phase kinds, indexing qOpName.
 const (
 	kQRead uint8 = iota
-	kQTS
 	kQWrite
 )
 
 // qOpName maps phase kinds to wire op names. The strings are package
 // constants, so setting req.Op from here never allocates.
-var qOpName = [...]string{kQRead: "qread", kQTS: "qts", kQWrite: "qwrite"}
+var qOpName = [...]string{kQRead: "qread", kQWrite: "qwrite"}
 
 // subItem is one replica's share of a phase, passed by value through the
 // submission ring (no boxing, no per-item allocation).
@@ -144,7 +139,6 @@ type opState struct {
 	haveBest    bool
 	bestTS      int64
 	bestWID     uint32
-	bestIdx     int
 	val         []byte // merged best value (owned; reused across ops)
 	wval        []byte // write payload copy (owned; reused across ops)
 
@@ -189,28 +183,24 @@ func (s *opState) beginPhase(kind uint8, need, total int) uint32 {
 	return tag
 }
 
-// merge folds one value-carrying reply into the running maximum. Caller
-// holds s.mu. The value copy is mandatory: resp.Val aliases the reader's
-// frame buffer, which the next ReadResponse reuses.
+// merge folds one qread reply into the running maximum. Caller holds
+// s.mu. The value copy is mandatory: resp.Val aliases the reader's frame
+// buffer, which the next ReadResponse reuses.
 //
 //bloom:noalloc
-func (s *opState) merge(resp *wire.Response, idx int) {
+func (s *opState) merge(resp *wire.Response) {
 	if !s.haveBest {
 		s.haveBest = true
-		s.bestTS, s.bestWID, s.bestIdx = resp.Stamp, resp.WID, idx
-		if s.phaseKind == kQRead {
-			s.val = append(s.val[:0], resp.Val...)
-		}
+		s.bestTS, s.bestWID = resp.Stamp, resp.WID
+		s.val = append(s.val[:0], resp.Val...)
 		return
 	}
 	if resp.Stamp != s.bestTS || resp.WID != s.bestWID {
 		s.agree = false
 	}
 	if newer(resp.Stamp, resp.WID, s.bestTS, s.bestWID) {
-		s.bestTS, s.bestWID, s.bestIdx = resp.Stamp, resp.WID, idx
-		if s.phaseKind == kQRead {
-			s.val = append(s.val[:0], resp.Val...)
-		}
+		s.bestTS, s.bestWID = resp.Stamp, resp.WID
+		s.val = append(s.val[:0], resp.Val...)
 	}
 }
 
@@ -325,7 +315,7 @@ func (e *econn) lastError() error {
 func (e *econn) dispatch(conn net.Conn) {
 	defer close(e.done)
 	bw := bufio.NewWriterSize(conn, engineBufSize)
-	wr := wire.NewWriter(wire.Binary, bw)
+	wr := wire.NewWriter(bw)
 	var req wire.Request
 	req.Reg = e.q.reg
 	for {
@@ -435,7 +425,7 @@ func (e *econn) arm(conn net.Conn) {
 // Any exit fail-acks every adopted entry exactly once.
 func (e *econn) readLoop(conn net.Conn, end chan struct{}) {
 	defer close(end)
-	rd := wire.NewReader(wire.Binary, bufio.NewReaderSize(conn, engineBufSize))
+	rd := wire.NewReader(bufio.NewReaderSize(conn, engineBufSize))
 	var outs []uint64
 	var resp wire.Response
 	for {
@@ -577,12 +567,12 @@ func (e *econn) redial() net.Conn {
 // engine (see the file comment). All methods are safe for concurrent
 // use; one QClient is one writer identity. Concurrent same-key reads
 // combine: followers piggyback on the leader's in-flight quorum query
-// and complete in zero rounds of their own (Options.NoCombine opts
-// out). ModeFast clients additionally elide a read's write-back when a
-// quorum is already known to hold the candidate (ts, wid) — the
-// watermark raised by earlier writes, write-backs, and unanimous
-// queries — so repeat reads of a settled register take the one-round
-// path even when a straggler replica lags.
+// and complete in zero rounds of their own. ModeFast clients
+// additionally elide a read's write-back when a quorum is already known
+// to hold the candidate (ts, wid) — the watermark raised by earlier
+// writes, write-backs, and unanimous queries — so repeat reads of a
+// settled register take the one-round path even when a straggler
+// replica lags.
 type QClient struct {
 	conns   []*econn
 	quorum  int
@@ -596,7 +586,7 @@ type QClient struct {
 	ws      *obs.Wire
 
 	pool arena
-	comb *combiner // nil: combining disabled (frugal mode or NoCombine)
+	comb combiner
 
 	// Acked watermark: the newest (ts, wid) proven held by a full
 	// quorum. Monotone; used by ModeFast write-back elision.
@@ -632,9 +622,6 @@ func Dial(addrs []string, o Options) (*QClient, error) {
 	}
 	if o.Journal != nil {
 		q.tap = newQTap(o.Journal, o.Register)
-	}
-	if o.Mode != ModeFrugal && !o.NoCombine {
-		q.comb = &combiner{}
 	}
 	for i, a := range addrs {
 		e := &econn{
@@ -743,8 +730,8 @@ func (q *QClient) ack(id uint64, ok bool, resp *wire.Response, idx int) {
 	freeNow := s.retired && s.refs == 0
 	if tag == s.tag && !s.done {
 		if ok {
-			if s.phaseKind != kQWrite {
-				s.merge(resp, idx)
+			if s.phaseKind == kQRead {
+				s.merge(resp)
 			}
 			s.oks++
 			if s.oks >= s.need {
@@ -815,26 +802,17 @@ func (q *QClient) enqueue(e *econn, s *opState, it subItem, deadline time.Time) 
 	}
 }
 
-// runPhase runs one quorum round: target < 0 fans out to every replica
-// and waits for a majority; target >= 0 is a single-replica exchange
-// (the frugal fetch). Returns false when the phase failed (no quorum
-// within the deadline).
+// runPhase runs one quorum round: fan out to every replica and wait for
+// a majority. Returns false when the phase failed (no quorum within the
+// deadline).
 //
 //bloom:noalloc
-func (q *QClient) runPhase(s *opState, kind uint8, target int, ts int64, wid uint32, val []byte, seal bool) bool {
-	need, total := q.quorum, len(q.conns)
-	if target >= 0 {
-		need, total = 1, 1
-	}
-	tag := s.beginPhase(kind, need, total)
+func (q *QClient) runPhase(s *opState, kind uint8, ts int64, wid uint32, val []byte, seal bool) bool {
+	tag := s.beginPhase(kind, q.quorum, len(q.conns))
 	it := subItem{s: s, tag: tag, kind: kind, seal: seal, ts: ts, wid: wid, val: val}
 	deadline := time.Now().Add(q.timeout)
-	if target >= 0 {
-		q.enqueue(q.conns[target], s, it, deadline)
-	} else {
-		for _, e := range q.conns {
-			q.enqueue(e, s, it, deadline)
-		}
+	for _, e := range q.conns {
+		q.enqueue(e, s, it, deadline)
 	}
 	s.mu.Lock()
 	done := s.done
@@ -1043,13 +1021,11 @@ func (q *QClient) ReadInto(buf []byte) ([]byte, int64, uint32, error) {
 	start := time.Now()
 	inv, handle := q.tap.begin()
 	s := q.pool.get()
-	if q.comb != nil && !q.tryLead(s) {
+	if !q.tryLead(s) {
 		return q.followWait(s, buf, start, inv, handle)
 	}
 	ts, wid, rounds, err := q.readEngine(s)
-	if q.comb != nil {
-		q.deliver(s, ts, wid, err)
-	}
+	q.deliver(s, ts, wid, err)
 	if err != nil {
 		q.tally.RecordNoQuorum(obs.QRead)
 		q.tap.record(obs.JRead, nil, inv, handle, true)
@@ -1068,10 +1044,7 @@ func (q *QClient) ReadInto(buf []byte) ([]byte, int64, uint32, error) {
 //
 //bloom:noalloc
 func (q *QClient) readEngine(s *opState) (ts int64, wid uint32, rounds int, err error) {
-	if q.mode == ModeFrugal {
-		return q.readFrugalEngine(s)
-	}
-	if !q.runPhase(s, kQRead, -1, 0, 0, nil, q.comb != nil) {
+	if !q.runPhase(s, kQRead, 0, 0, nil, true) {
 		return 0, 0, 1, q.noQuorumErr()
 	}
 	ts, wid = s.bestTS, s.bestWID
@@ -1089,32 +1062,7 @@ func (q *QClient) readEngine(s *opState) (ts int64, wid uint32, rounds int, err 
 			return ts, wid, 1, nil
 		}
 	}
-	if !q.runPhase(s, kQWrite, -1, ts, wid, s.val, false) {
-		return 0, 0, 2, q.noQuorumErr()
-	}
-	q.raiseWM(ts, wid)
-	return ts, wid, 2, nil
-}
-
-// readFrugalEngine is ModeFrugal's read on the engine: constant-size
-// timestamp query, single-replica value fetch (full-query fallback),
-// write-back.
-//
-//bloom:noalloc
-func (q *QClient) readFrugalEngine(s *opState) (int64, uint32, int, error) {
-	if !q.runPhase(s, kQTS, -1, 0, 0, nil, false) {
-		return 0, 0, 1, q.noQuorumErr()
-	}
-	p1ts, p1wid, src := s.bestTS, s.bestWID, s.bestIdx
-	if !q.runPhase(s, kQRead, src, 0, 0, nil, false) || newer(p1ts, p1wid, s.bestTS, s.bestWID) {
-		// The fetch target died between phases or answered stale — pay
-		// the full ABD query instead.
-		if !q.runPhase(s, kQRead, -1, 0, 0, nil, false) {
-			return 0, 0, 2, q.noQuorumErr()
-		}
-	}
-	ts, wid := s.bestTS, s.bestWID
-	if !q.runPhase(s, kQWrite, -1, ts, wid, s.val, false) {
+	if !q.runPhase(s, kQWrite, ts, wid, s.val, false) {
 		return 0, 0, 2, q.noQuorumErr()
 	}
 	q.raiseWM(ts, wid)
@@ -1154,13 +1102,8 @@ func (q *QClient) WriteStamped(val json.RawMessage) (int64, uint32, error) {
 	s := q.pool.get()
 	s.wval = appendVal(s.wval[:0], val)
 
-	// Phase 1: learn a timestamp no completed write exceeds. ModeFrugal
-	// asks for timestamps only.
-	kind := kQRead
-	if q.mode == ModeFrugal {
-		kind = kQTS
-	}
-	if !q.runPhase(s, kind, -1, 0, 0, nil, false) {
+	// Phase 1: learn a timestamp no completed write exceeds.
+	if !q.runPhase(s, kQRead, 0, 0, nil, false) {
 		err := q.noQuorumErr()
 		q.tally.RecordNoQuorum(obs.QWrite)
 		q.tap.record(obs.JWrite, val, inv, handle, true)
@@ -1170,7 +1113,7 @@ func (q *QClient) WriteStamped(val json.RawMessage) (int64, uint32, error) {
 	ts := s.bestTS + 1
 
 	// Phase 2: install (ts, wid, val) at a majority.
-	if !q.runPhase(s, kQWrite, -1, ts, q.wid, s.wval, false) {
+	if !q.runPhase(s, kQWrite, ts, q.wid, s.wval, false) {
 		err := q.noQuorumErr()
 		q.tally.RecordNoQuorum(obs.QWrite)
 		q.tap.record(obs.JWrite, val, inv, handle, true)

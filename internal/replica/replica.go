@@ -8,10 +8,9 @@
 //
 // # Protocol
 //
-// Each replica serves three wire ops against its q-cell, a monotone
-// (ts, wid, value) triple (see netreg's qread/qts/qwrite): qread returns
-// the triple, qts returns just (ts, wid), and qwrite stores a triple iff
-// it is lexicographically newer. On top of these the client runs the
+// Each replica serves two wire ops against its q-cell, a monotone
+// (ts, wid, value) triple (see netreg's qread/qwrite): qread returns the
+// triple, and qwrite stores a triple iff it is lexicographically newer. On top of these the client runs the
 // classic two-phase quorum dance [Attiya–Bar-Noy–Dolev; multi-writer per
 // Lynch–Shvartsman]:
 //
@@ -33,48 +32,33 @@
 // dispatcher goroutine per replica connection fed by a submission ring,
 // pooled per-op records recycled through a freelist, and completion via
 // ack counters and per-op doorbells — zero goroutine spawns and zero
-// allocations per steady-state operation. The PR 9 per-op-goroutine
-// client survives as Legacy (legacy.go), the measured baseline the
-// engine must beat by 2x in `bloombench -replica`.
+// allocations per steady-state operation.
 //
 // # Modes
 //
-// ModeABD is the baseline above. Two variants from the literature are
-// toggled per client and measured against it in `bloombench -replica`:
-//
-//   - ModeFast (after Huang–Huang–Wei, "Fine-grained Analysis on Fast
-//     Implementations of Distributed Multi-writer Atomic Registers"):
-//     when every reply in a read's query majority agrees on (ts, wid),
-//     the value is already at a majority and the write-back phase is
-//     provably redundant — the read completes in ONE round. Under low
-//     write contention almost every read takes the fast path. The
-//     engine extends this with write-back ELISION: completed writes,
-//     write-backs, and unanimous queries raise a per-client acked
-//     watermark (the newest (ts, wid) a full quorum is known to hold),
-//     and a read whose candidate is covered by the watermark skips its
-//     write-back even when the query replies disagree — repeat reads of
-//     a settled register take the one-round path despite a lagging
-//     replica. Sound because q-cells are monotone: the watermark quorum
-//     holds >= that stamp forever, and every later read's majority
-//     intersects it, so the new-old-inversion guard is preserved.
-//
-//   - ModeFrugal (inspired by Mostéfaoui–Raynal, "Two-Bit Messages are
-//     Sufficient to Implement Atomic Read/Write Registers in Crash-prone
-//     Systems"): phase-1 queries carry timestamps only (qts — constant
-//     size regardless of the stored value), and a read fetches the
-//     actual value from a single max-timestamp replica instead of
-//     shipping it m ways. Same round count as ABD, a fraction of the
-//     bytes at large values. This borrows the paper's message-frugality
-//     goal, not its literal two-bit protocol (which needs server-to-
-//     server gossip our star topology doesn't have).
+// ModeABD is the baseline above. ModeFast (after Huang–Huang–Wei,
+// "Fine-grained Analysis on Fast Implementations of Distributed
+// Multi-writer Atomic Registers") is toggled per client and measured
+// against it in `bloombench -replica`: when every reply in a read's
+// query majority agrees on (ts, wid), the value is already at a majority
+// and the write-back phase is provably redundant — the read completes in
+// ONE round. Under low write contention almost every read takes the fast
+// path. The engine extends this with write-back ELISION: completed
+// writes, write-backs, and unanimous queries raise a per-client acked
+// watermark (the newest (ts, wid) a full quorum is known to hold), and a
+// read whose candidate is covered by the watermark skips its write-back
+// even when the query replies disagree — repeat reads of a settled
+// register take the one-round path despite a lagging replica. Sound
+// because q-cells are monotone: the watermark quorum holds >= that stamp
+// forever, and every later read's majority intersects it, so the
+// new-old-inversion guard is preserved.
 //
 // # Combining
 //
-// Concurrent reads on one QClient (ModeABD/ModeFast) COMBINE: the first
-// read in flight leads the quorum query, and reads that arrive before
-// any of its query frames hit a socket join as followers, receiving the
-// leader's (value, ts, wid) without issuing any quorum round of their
-// own. The seal point — no joins after the first frame is dequeued for
+// Concurrent reads on one QClient COMBINE: the first read in flight
+// leads the quorum query, and reads that arrive before any of its query
+// frames hit a socket join as followers, receiving the leader's
+// (value, ts, wid) without issuing any quorum round of their own. The seal point — no joins after the first frame is dequeued for
 // sending — is what makes a follower's result sound: every quorum
 // contact happens inside the follower's own invocation interval, so the
 // follower linearizes immediately after its leader. Followers journal
@@ -134,9 +118,6 @@ const (
 	// agrees on (ts, wid) — or when the client's acked watermark already
 	// covers the candidate (write-back elision): a one-round read.
 	ModeFast
-	// ModeFrugal queries timestamps only (constant-size phase-1
-	// messages) and fetches a read's value from a single replica.
-	ModeFrugal
 )
 
 // String names the mode as it appears in benchmark tables.
@@ -146,8 +127,6 @@ func (m Mode) String() string {
 		return "abd"
 	case ModeFast:
 		return "fast"
-	case ModeFrugal:
-		return "frugal"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -160,7 +139,7 @@ func (m Mode) String() string {
 // wrapping this sentinel plus the per-replica causes.
 var ErrNoQuorum = fmt.Errorf("replica: quorum unavailable: %w", netreg.ErrUnavailable)
 
-// Options configures a QClient (engine) or Legacy client.
+// Options configures a QClient.
 type Options struct {
 	// Mode selects the protocol variant. Default ModeABD.
 	Mode Mode
@@ -182,17 +161,13 @@ type Options struct {
 
 	// Timeout bounds one quorum phase (and one connection's read silence
 	// while work is outstanding, times 1.5). Zero means one second.
-	// Engine only.
 	Timeout time.Duration
 	// Dialer, when set, replaces net.Dial for replica connections — the
-	// fault-injection hook (see faultnet.Plan.Dialer). Engine only.
+	// fault-injection hook (see faultnet.Plan.Dialer).
 	Dialer func(addr string) (net.Conn, error)
 	// Wire, when set, counts the engine's frames and socket bytes (the
-	// bytes/op comparison across modes). Engine only.
+	// bytes/op comparison across modes).
 	Wire *obs.Wire
-	// NoCombine disables read combining (every read runs its own quorum
-	// query). Engine only; combining is already never used in ModeFrugal.
-	NoCombine bool
 }
 
 // newer reports whether (ts1, wid1) orders after (ts2, wid2) in the
@@ -205,12 +180,11 @@ func newer(ts1 int64, wid1 uint32, ts2 int64, wid2 uint32) bool {
 }
 
 // qTap journals a quorum client's logical operations. Concurrent logical
-// ops complete out of order, so it uses the gated discipline (the same
-// one netreg's worker models use): a mutex serializes ring access and a
-// FIFO of in-flight invocations keeps the source's horizon bound at the
-// oldest running invocation — a completion must never advance the bound
-// past an older, still-running logical op. All methods are safe on a
-// nil receiver (journaling disabled).
+// ops complete out of order, so it uses a gated discipline: a mutex
+// serializes ring access and a FIFO of in-flight invocations keeps the
+// source's horizon bound at the oldest running invocation — a completion
+// must never advance the bound past an older, still-running logical op.
+// All methods are safe on a nil receiver (journaling disabled).
 type qTap struct {
 	j   *obs.Journal
 	src *obs.Source

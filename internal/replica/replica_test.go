@@ -70,7 +70,7 @@ const fastTimeout = 300 * time.Millisecond
 // and reads on a healthy cluster: reads return the latest written value
 // and stamps never regress.
 func TestQuorumModesReadWrite(t *testing.T) {
-	for _, mode := range []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFrugal} {
+	for _, mode := range []replica.Mode{replica.ModeABD, replica.ModeFast} {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := startCluster(t, 3, "v0")
 			q, err := replica.Dial(c.addrs, replica.Options{Mode: mode, WriterID: 1, Timeout: fastTimeout})
@@ -113,7 +113,7 @@ func TestQuorumModesReadWrite(t *testing.T) {
 // with ErrNoQuorum).
 func TestOpRightAfterDial(t *testing.T) {
 	c := startCluster(t, 3, "v0")
-	modes := []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFrugal}
+	modes := []replica.Mode{replica.ModeABD, replica.ModeFast}
 	for k := 0; k < 300; k++ {
 		mode := modes[k%len(modes)]
 		q, err := replica.Dial(c.addrs, replica.Options{Mode: mode, WriterID: 1, Timeout: fastTimeout})
@@ -186,71 +186,10 @@ func TestFastPathOneRound(t *testing.T) {
 	}
 }
 
-// TestFrugalBytes measures the point of ModeFrugal: at large values its
-// reads move far fewer bytes than plain ABD, because phase-1 queries
-// carry timestamps only and the value ships once, not m ways.
-func TestFrugalBytes(t *testing.T) {
-	c := startCluster(t, 3, "v0")
-	big := make([]byte, 16<<10)
-	for i := range big {
-		big[i] = 'a' + byte(i%26)
-	}
-	val, _ := json.Marshal(string(big))
-
-	read := func(mode replica.Mode) int64 {
-		ws, tally := obs.NewWire(), obs.NewReplica(3)
-		q, err := replica.Dial(c.addrs, replica.Options{Mode: mode, WriterID: 7, Timeout: fastTimeout, Wire: ws, Tally: tally})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer q.Close()
-		if err := q.Write(val); err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 10; k++ {
-			if _, err := q.Read(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// A round completes at a majority, so the slowest replica's
-		// requests can still be queued or in flight here. Count what the
-		// protocol pulls, not what arrived first: wait until no frame is
-		// outstanding and every replica has answered every counted round.
-		// Each counted round fans out to every replica; a frugal read's
-		// single-replica fetch is not a counted round, and the read waits
-		// for it anyway.
-		rounds := tally.Rounds(obs.QRead) + tally.Rounds(obs.QWrite)
-		answered := func() bool {
-			if in, out := ws.Frames(); in != out {
-				return false
-			}
-			for i := 0; i < 3; i++ {
-				if ok, _ := tally.ReplicaHealth(i); ok < rounds {
-					return false
-				}
-			}
-			return true
-		}
-		for deadline := time.Now().Add(5 * time.Second); !answered(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%v: replicas never answered all %d rounds", mode, rounds)
-			}
-		}
-		in, _ := ws.Bytes()
-		return in
-	}
-
-	abd := read(replica.ModeABD)
-	frugal := read(replica.ModeFrugal)
-	if frugal*2 >= abd {
-		t.Errorf("frugal reads pulled %d bytes vs ABD's %d; want less than half", frugal, abd)
-	}
-}
-
 // TestCrashSoakQuorumAtomic is the tentpole acceptance test, meant for
 // -race: an m=5 cluster with a seeded kill plan crashing f=2 replicas
-// permanently mid-stream while writers and readers (one per mode) hammer
-// the register. Every logical operation must keep succeeding, stamps
+// permanently mid-stream while two writers and two readers (each pair
+// one ABD and one Fast client) hammer the register. Every logical operation must keep succeeding, stamps
 // must never regress per client, and the merged per-replica journals
 // plus the quorum clients' logical journal must certify atomic online.
 func TestCrashSoakQuorumAtomic(t *testing.T) {
@@ -280,7 +219,7 @@ func TestCrashSoakQuorumAtomic(t *testing.T) {
 	// turns a dead replica's connection into instant local failures while
 	// its redial loop backs off, so a crash costs one timeout, not one per
 	// exchange.
-	modes := []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFrugal, replica.ModeABD}
+	modes := []replica.Mode{replica.ModeABD, replica.ModeFast, replica.ModeFast, replica.ModeABD}
 	clients := make([]*replica.QClient, len(modes))
 	for i, mode := range modes {
 		q, err := replica.Dial(c.addrs, replica.Options{

@@ -32,7 +32,7 @@ func encodeFrames(t testing.TB, req *wire.Request, resp *wire.Response) (reqFram
 	t.Helper()
 	encode := func(write func(w *wire.Writer) error) []byte {
 		var buf bytes.Buffer
-		w := wire.NewWriter(wire.Binary, bufio.NewWriter(&buf))
+		w := wire.NewWriter(bufio.NewWriter(&buf))
 		if err := write(w); err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ var allocResp = wire.Response{ID: 123456, Stamp: 987654, Val: json.RawMessage(`"
 // TestEncodeZeroAllocs is the hard gate on the binary encode path: steady
 // state, a request or response frame must not allocate at all.
 func TestEncodeZeroAllocs(t *testing.T) {
-	w := wire.NewWriter(wire.Binary, bufio.NewWriterSize(io.Discard, 1<<16))
+	w := wire.NewWriter(bufio.NewWriterSize(io.Discard, 1<<16))
 	// Warm the scratch buffer.
 	for i := 0; i < 8; i++ {
 		if err := w.WriteRequest(&allocReq); err != nil {
@@ -83,7 +83,7 @@ func TestEncodeZeroAllocs(t *testing.T) {
 func TestDecodeZeroAllocs(t *testing.T) {
 	reqFrame, respFrame := encodeFrames(t, &allocReq, &allocResp)
 
-	rr := wire.NewReader(wire.Binary, bufio.NewReaderSize(&loopReader{data: reqFrame}, 1<<16))
+	rr := wire.NewReader(bufio.NewReaderSize(&loopReader{data: reqFrame}, 1<<16))
 	var req wire.Request
 	for i := 0; i < 8; i++ { // warm the intern cache and frame buffer
 		if err := rr.ReadRequest(&req); err != nil {
@@ -101,7 +101,7 @@ func TestDecodeZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state decode corrupted the frame: %+v", req)
 	}
 
-	pr := wire.NewReader(wire.Binary, bufio.NewReaderSize(&loopReader{data: respFrame}, 1<<16))
+	pr := wire.NewReader(bufio.NewReaderSize(&loopReader{data: respFrame}, 1<<16))
 	var resp wire.Response
 	for i := 0; i < 8; i++ {
 		if err := pr.ReadResponse(&resp); err != nil {
@@ -124,7 +124,7 @@ func TestDecodeZeroAllocs(t *testing.T) {
 // decoded Val is valid until the next read, and the next read replaces it.
 func TestDecodedFieldsAliasFrameBuffer(t *testing.T) {
 	var buf bytes.Buffer
-	w := wire.NewWriter(wire.Binary, bufio.NewWriter(&buf))
+	w := wire.NewWriter(bufio.NewWriter(&buf))
 	first := wire.Request{ID: 1, Op: "write", Val: json.RawMessage(`"first"`)}
 	second := wire.Request{ID: 2, Op: "write", Val: json.RawMessage(`"second-longer"`)}
 	if err := w.WriteRequest(&first); err != nil {
@@ -136,7 +136,7 @@ func TestDecodedFieldsAliasFrameBuffer(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := wire.NewReader(wire.Binary, bufio.NewReader(&buf))
+	r := wire.NewReader(bufio.NewReader(&buf))
 	var req wire.Request
 	if err := r.ReadRequest(&req); err != nil {
 		t.Fatal(err)
@@ -178,8 +178,8 @@ func TestSteadyStateHeapAfterLargeValueBurst(t *testing.T) {
 	big := wire.Request{ID: 9, Op: "write", Val: bigVal, Client: "c"}
 
 	var buf bytes.Buffer
-	w := wire.NewWriter(wire.Binary, bufio.NewWriter(&buf))
-	r := wire.NewReader(wire.Binary, bufio.NewReader(&buf))
+	w := wire.NewWriter(bufio.NewWriter(&buf))
+	r := wire.NewReader(bufio.NewReader(&buf))
 	var req wire.Request
 	for i := 0; i < 4; i++ { // the burst
 		if err := w.WriteRequest(&big); err != nil {
@@ -227,7 +227,7 @@ func TestSteadyStateHeapAfterLargeValueBurst(t *testing.T) {
 // gates: `go test -run=NONE -bench=BenchmarkFrame -benchmem` must report
 // 0 allocs/op for both, enforced by the workflow.
 func BenchmarkFrameEncode(b *testing.B) {
-	w := wire.NewWriter(wire.Binary, bufio.NewWriterSize(io.Discard, 1<<16))
+	w := wire.NewWriter(bufio.NewWriterSize(io.Discard, 1<<16))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -243,7 +243,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 func BenchmarkFrameDecode(b *testing.B) {
 	reqFrame, respFrame := encodeFrames(b, &allocReq, &allocResp)
 	stream := append(append([]byte{}, reqFrame...), respFrame...)
-	r := wire.NewReader(wire.Binary, bufio.NewReaderSize(&loopReader{data: stream}, 1<<16))
+	r := wire.NewReader(bufio.NewReaderSize(&loopReader{data: stream}, 1<<16))
 	var req wire.Request
 	var resp wire.Response
 	if err := r.ReadRequest(&req); err != nil { // warm intern cache

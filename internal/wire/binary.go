@@ -6,14 +6,13 @@ import (
 	"sync"
 )
 
-// Binary payload kind bytes. Requests are 0x01–0x05 so neither the length
-// prefix nor the kind can be confused with the start of a JSON document.
+// Payload kind bytes. 0 is no kind: requestKind returns it for an op the
+// layout cannot carry.
 const (
 	kindRead     = 0x01
 	kindWrite    = 0x02
 	kindQRead    = 0x03 // replica quorum read: (ts, wid, val) query
 	kindQWrite   = 0x04 // replica write-back: store (ts, wid, val) if newer
-	kindQTS      = 0x05 // replica timestamp-only query (message-frugal phase 1)
 	kindResponse = 0x81
 )
 
@@ -54,24 +53,33 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// appendRequest encodes req onto b in the binary payload layout. It is a
-// pure append — one of the hot-path leaves the static wait-free and
-// no-alloc checks cover (the appends reuse the caller's buffer).
+// requestKind maps a request op to its kind byte, or 0 for an op the
+// layout has no kind for.
 //
 //bloom:waitfree
 //bloom:noalloc
-func appendRequest(b []byte, req *Request) []byte {
-	kind := byte(kindRead)
-	switch req.Op {
+func requestKind(op string) byte {
+	switch op {
+	case "read":
+		return kindRead
 	case "write":
-		kind = kindWrite
+		return kindWrite
 	case "qread":
-		kind = kindQRead
+		return kindQRead
 	case "qwrite":
-		kind = kindQWrite
-	case "qts":
-		kind = kindQTS
+		return kindQWrite
 	}
+	return 0
+}
+
+// appendRequest encodes req onto b in the binary payload layout under
+// the given kind byte (see requestKind). It is a pure append — one of the
+// hot-path leaves the static wait-free and no-alloc checks cover (the
+// appends reuse the caller's buffer).
+//
+//bloom:waitfree
+//bloom:noalloc
+func appendRequest(b []byte, kind byte, req *Request) []byte {
 	b = append(b, kind)
 	b = binary.AppendUvarint(b, req.ID)
 	b = appendString(b, req.Reg)
@@ -295,8 +303,6 @@ func parseRequest(p []byte, req *Request, in *interner) error {
 		req.Op = "qread"
 	case kindQWrite:
 		req.Op = "qwrite"
-	case kindQTS:
-		req.Op = "qts"
 	default:
 		if d.err == nil {
 			d.err = errUnknownRequestKind

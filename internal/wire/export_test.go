@@ -22,7 +22,10 @@ func ParseResponseForFuzz(p []byte, resp *Response) error {
 }
 
 // AppendRequestForFuzz re-encodes a request payload (no frame header).
-func AppendRequestForFuzz(b []byte, req *Request) []byte { return appendRequest(b, req) }
+// The op must be one requestKind knows.
+func AppendRequestForFuzz(b []byte, req *Request) []byte {
+	return appendRequest(b, requestKind(req.Op), req)
+}
 
 // AppendResponseForFuzz re-encodes a response payload (no frame header).
 func AppendResponseForFuzz(b []byte, resp *Response) []byte { return appendResponse(b, resp) }

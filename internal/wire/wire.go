@@ -1,28 +1,26 @@
 // Package wire is the framing layer of the networked registers
-// (internal/netreg): the request/response message types, and two codecs
-// that put them on a TCP stream.
+// (internal/netreg): the request/response message types and the compact
+// length-prefixed binary codec that puts them on a TCP stream.
 //
-// The default codec is a compact length-prefixed binary framing built for
-// throughput — one length word plus a flat field encoding, written through
-// a bufio.Writer so a pipelined batch of frames costs one syscall. Encode
-// and decode are zero-allocation in steady state: frames are assembled in
-// a per-Writer scratch buffer reused across flushes, decoded payloads live
-// in pooled buffers each Reader holds until its next frame (decoded byte
-// fields alias them — see Reader), and repeated name strings are interned
-// per connection. The original newline-delimited JSON framing survives as
-// the JSON codec for wire-compatibility tests and hand-written frames.
+// The codec is built for throughput — one length word plus a flat field
+// encoding, written through a bufio.Writer so a pipelined batch of frames
+// costs one syscall. Encode and decode are zero-allocation in steady
+// state: frames are assembled in a per-Writer scratch buffer reused
+// across flushes, decoded payloads live in pooled buffers each Reader
+// holds until its next frame (decoded byte fields alias them — see
+// Reader), and repeated name strings are interned per connection.
 //
 // # Binary frame layout
 //
-// Every binary frame is a 4-byte big-endian payload length followed by the
-// payload. Payloads are < MaxFrame (16 MiB), so the first byte on the wire
-// is always 0x00 — which is never the first byte of a JSON document. That
-// single byte is the whole codec negotiation: the server peeks at it
-// (Sniff) and speaks whatever the client speaks.
+// Every frame is a 4-byte big-endian payload length followed by the
+// payload. Payloads are < MaxFrame (16 MiB); a longer length prefix is a
+// framing error, as is a payload whose kind byte or fields do not parse,
+// and the peer drops the connection rather than guess where the next
+// frame starts.
 //
 // Request payload:
 //
-//	kind     1 byte  (0x01 read, 0x02 write, 0x03 qread, 0x04 qwrite, 0x05 qts)
+//	kind     1 byte  (0x01 read, 0x02 write, 0x03 qread, 0x04 qwrite)
 //	id       uvarint request id (pipelining correlation)
 //	reg      uvarint length + bytes (register name, "" = default)
 //	port     uvarint (reads)
@@ -45,44 +43,20 @@
 // zigzag-encoded (both are int64 and could in principle go negative on a
 // foreign sequencer). The q-ops carry the ABD quorum protocol
 // (internal/replica): qread returns the replica's (timestamp, writer id,
-// value), qts returns only (timestamp, writer id), and qwrite stores
-// (ts, wid, val) iff it is newer than what the replica holds (a stale
-// qwrite is acked without effect). ts/wid ride at the tail of every
-// request frame and wid at the tail of every response frame so the
-// layout stays uniform across kinds; for plain reads and writes they
-// encode as two zero bytes.
+// value), and qwrite stores (ts, wid, val) iff it is newer than what the
+// replica holds (a stale qwrite is acked without effect). ts/wid ride at
+// the tail of every request frame and wid at the tail of every response
+// frame so the layout stays uniform across kinds; for plain reads and
+// writes they encode as two zero bytes.
 package wire
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
-
-// Codec selects a frame encoding.
-type Codec int
-
-const (
-	// Binary is the length-prefixed binary framing (the default).
-	Binary Codec = iota
-	// JSON is the original newline-delimited JSON framing, kept for
-	// wire-compatibility tests and debuggability (frames can be typed by
-	// hand into a TCP session).
-	JSON
-)
-
-// String names the codec as it appears in benchmark tables.
-func (c Codec) String() string {
-	switch c {
-	case Binary:
-		return "binary"
-	case JSON:
-		return "json"
-	default:
-		return fmt.Sprintf("Codec(%d)", int(c))
-	}
-}
 
 // MaxFrame bounds a binary payload. It keeps a corrupted length prefix
 // (e.g. a garbled high byte) from provoking a giant allocation: oversized
@@ -92,74 +66,63 @@ const MaxFrame = 16 << 20
 // Request is one access on the wire.
 type Request struct {
 	// ID correlates the response on a pipelined connection; it is echoed
-	// verbatim. 0 is what hand-written JSON frames get and is served fine
-	// (a serial connection needs no correlation).
-	ID uint64 `json:"id,omitempty"`
+	// verbatim.
+	ID uint64
 	// Op is "read", "write", or one of the replica quorum ops: "qread"
-	// (query a replica's timestamped value), "qts" (query only the
-	// timestamp — the message-frugal variant's phase 1), or "qwrite"
-	// (store-if-newer write-back).
-	Op string `json:"op"`
+	// (query a replica's timestamped value) or "qwrite" (store-if-newer
+	// write-back). Any other op is refused by WriteRequest.
+	Op string
 	// Reg names the register instance on a multi-register server; "" is
 	// the default register.
-	Reg string `json:"reg,omitempty"`
+	Reg string
 	// Port is the reader's port (reads only).
-	Port int `json:"port,omitempty"`
+	Port int
 	// Val is the value written (writes only), as raw JSON.
-	Val json.RawMessage `json:"val,omitempty"`
+	Val json.RawMessage
 	// Client identifies the sending client for write dedup.
-	Client string `json:"client,omitempty"`
+	Client string
 	// Seq is the client's per-request sequence number; a retried request
 	// re-sends the same Seq, which is how the server recognizes it.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// TS is the replica timestamp a qwrite carries (the ABD write-back
 	// phase); unused by other ops.
-	TS int64 `json:"ts,omitempty"`
+	TS int64
 	// WID is the writer id paired with TS: (TS, WID) order
 	// lexicographically, so concurrent writers with equal timestamps are
 	// broken deterministically.
-	WID uint32 `json:"wid,omitempty"`
+	WID uint32
 }
 
 // Response is one access result on the wire.
 type Response struct {
 	// ID echoes the request's id.
-	ID uint64 `json:"id,omitempty"`
+	ID uint64
 	// Val is the value read (reads only), as raw JSON.
-	Val json.RawMessage `json:"val,omitempty"`
+	Val json.RawMessage
 	// Stamp is the access's *-action stamp; for the replica quorum ops it
 	// carries the replica's current timestamp instead.
-	Stamp int64 `json:"stamp"`
+	Stamp int64
 	// WID is the writer id paired with Stamp on quorum-op replies (qread,
-	// qts, qwrite); zero otherwise.
-	WID uint32 `json:"wid,omitempty"`
+	// qwrite); zero otherwise.
+	WID uint32
 	// Err reports a server-side failure.
-	Err string `json:"err,omitempty"`
+	Err string
 	// Dup marks a write answered from the dedup window (a retransmission
 	// of an already-applied write). Server-side only: it never crosses the
 	// wire, but lets the journal tap flag the record so history checkers
 	// don't count one write effect twice.
-	Dup bool `json:"-"`
+	Dup bool
 }
 
-// Sniff peeks one byte to decide which codec the peer speaks: a binary
-// frame's first byte is always 0x00 (the high byte of a < 16 MiB length),
-// which no JSON document starts with. It consumes nothing.
-func Sniff(br *bufio.Reader) (Codec, error) {
-	b, err := br.Peek(1)
-	if err != nil {
-		return Binary, err
-	}
-	if b[0] == 0x00 {
-		return Binary, nil
-	}
-	return JSON, nil
-}
+// ErrUnknownOp is returned by Writer.WriteRequest for a Request.Op the
+// frame layout has no kind byte for. Nothing is buffered: an unknown op
+// is refused rather than sent as some other op.
+var ErrUnknownOp = errors.New("wire: unknown request op")
 
 // Reader decodes frames from one connection. Not safe for concurrent use;
 // a connection has one reading goroutine.
 //
-// Binary decode is zero-allocation in steady state, which comes with an
+// Decode is zero-allocation in steady state, which comes with an
 // ALIASING CONTRACT: the byte fields of a decoded Request or Response
 // (Val) point into a buffer the Reader reuses, and are valid only until
 // the next ReadRequest/ReadResponse call. A caller that lets a value
@@ -167,81 +130,29 @@ func Sniff(br *bufio.Reader) (Codec, error) {
 // must copy it first. Name strings (Reg, Client) are interned per
 // connection and safe to retain.
 type Reader struct {
-	codec Codec
-	br    *bufio.Reader
-	dec   *json.Decoder // JSON codec only
+	br *bufio.Reader
 
-	// held is the pooled buffer backing the last decoded binary frame; it
-	// is released back to the pool when the next frame replaces it, which
+	// held is the pooled buffer backing the last decoded frame; it is
+	// released back to the pool when the next frame replaces it, which
 	// is what keeps the aliased fields above valid between reads.
 	held  *[]byte
 	names interner
 }
 
-// NewReader returns a frame reader over br speaking codec c.
-func NewReader(c Codec, br *bufio.Reader) *Reader {
-	r := &Reader{codec: c, br: br}
-	if c == JSON {
-		r.dec = json.NewDecoder(br)
-	} else {
-		r.names.m = make(map[string]string)
-	}
-	return r
+// NewReader returns a frame reader over br.
+func NewReader(br *bufio.Reader) *Reader {
+	return &Reader{br: br, names: interner{m: make(map[string]string)}}
 }
 
-// Buffered reports how many decoded-but-unconsumed payload bytes are
-// sitting in the reader's buffers. The server flushes its response buffer
-// only when this hits zero — i.e. when the next ReadRequest would block —
-// which is what batches a pipelined burst's responses into one syscall.
-// For the JSON codec, inter-frame whitespace (the newline the encoder
-// emits after every document) does not count: it is not a pending frame,
-// and counting it would starve the flush forever.
-func (r *Reader) Buffered() int {
-	if r.dec == nil {
-		return r.br.Buffered()
-	}
-	n := countNonSpace(r.dec.Buffered())
-	if b, err := r.br.Peek(r.br.Buffered()); err == nil {
-		n += countNonSpaceBytes(b)
-	}
-	return n
-}
+// Buffered reports how many received-but-undecoded bytes are sitting in
+// the reader's buffer. The server flushes its response buffer only when
+// this hits zero — i.e. when the next ReadRequest would block — which is
+// what batches a pipelined burst's responses into one syscall.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
 
-// countNonSpace counts the non-whitespace bytes readable from rd (a
-// snapshot reader; reading it consumes nothing from the stream).
-func countNonSpace(rd io.Reader) int {
-	var tmp [256]byte
-	n := 0
-	for {
-		k, err := rd.Read(tmp[:])
-		n += countNonSpaceBytes(tmp[:k])
-		if err != nil || k == 0 {
-			return n
-		}
-	}
-}
-
-// countNonSpaceBytes counts the bytes of b outside JSON's insignificant
-// whitespace set.
-func countNonSpaceBytes(b []byte) int {
-	n := 0
-	for _, c := range b {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-		default:
-			n++
-		}
-	}
-	return n
-}
-
-// ReadRequest decodes the next request frame into req. Binary-decoded
-// byte fields alias the Reader's frame buffer; see the Reader contract.
+// ReadRequest decodes the next request frame into req. Decoded byte
+// fields alias the Reader's frame buffer; see the Reader contract.
 func (r *Reader) ReadRequest(req *Request) error {
-	if r.codec == JSON {
-		*req = Request{}
-		return r.dec.Decode(req)
-	}
 	p, err := r.readBinary()
 	if err != nil {
 		return err
@@ -249,13 +160,9 @@ func (r *Reader) ReadRequest(req *Request) error {
 	return parseRequest(p, req, &r.names)
 }
 
-// ReadResponse decodes the next response frame into resp. Binary-decoded
-// byte fields alias the Reader's frame buffer; see the Reader contract.
+// ReadResponse decodes the next response frame into resp. Decoded byte
+// fields alias the Reader's frame buffer; see the Reader contract.
 func (r *Reader) ReadResponse(resp *Response) error {
-	if r.codec == JSON {
-		*resp = Response{}
-		return r.dec.Decode(resp)
-	}
 	p, err := r.readBinary()
 	if err != nil {
 		return err
@@ -300,40 +207,30 @@ func (r *Reader) readBinary() ([]byte, error) {
 // calls buffer; nothing reaches the wire until Flush. Not safe for
 // concurrent use; a connection has one writing goroutine.
 //
-// Binary encode is zero-allocation in steady state: frames are assembled
-// in a scratch buffer the Writer reuses across flushes (shrunk back after
-// an oversized value so one large frame doesn't pin its capacity
-// forever).
+// Encode is zero-allocation in steady state: frames are assembled in a
+// scratch buffer the Writer reuses across flushes (shrunk back after an
+// oversized value so one large frame doesn't pin its capacity forever).
 type Writer struct {
-	codec   Codec
 	bw      *bufio.Writer
-	enc     *json.Encoder // JSON codec only
 	scratch []byte
 }
 
-// NewWriter returns a frame writer over bw speaking codec c.
-func NewWriter(c Codec, bw *bufio.Writer) *Writer {
-	w := &Writer{codec: c, bw: bw}
-	if c == JSON {
-		w.enc = json.NewEncoder(bw)
-	}
-	return w
-}
+// NewWriter returns a frame writer over bw.
+func NewWriter(bw *bufio.Writer) *Writer { return &Writer{bw: bw} }
 
-// WriteRequest buffers one request frame.
+// WriteRequest buffers one request frame. A request whose Op has no
+// kind byte fails with ErrUnknownOp and buffers nothing.
 func (w *Writer) WriteRequest(req *Request) error {
-	if w.codec == JSON {
-		return w.enc.Encode(req)
+	kind := requestKind(req.Op)
+	if kind == 0 {
+		return ErrUnknownOp
 	}
-	w.scratch = appendRequest(append(w.scratch[:0], 0, 0, 0, 0), req)
+	w.scratch = appendRequest(append(w.scratch[:0], 0, 0, 0, 0), kind, req)
 	return w.writeScratch()
 }
 
 // WriteResponse buffers one response frame.
 func (w *Writer) WriteResponse(resp *Response) error {
-	if w.codec == JSON {
-		return w.enc.Encode(resp)
-	}
 	w.scratch = appendResponse(append(w.scratch[:0], 0, 0, 0, 0), resp)
 	return w.writeScratch()
 }

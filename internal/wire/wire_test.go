@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,10 +14,10 @@ import (
 
 // pipe returns a Writer feeding a buffer and a Reader over that buffer's
 // eventual contents (call flush first).
-func codecPipe(c wire.Codec) (*wire.Writer, func() *wire.Reader) {
+func pipe() (*wire.Writer, func() *wire.Reader) {
 	var buf bytes.Buffer
-	w := wire.NewWriter(c, bufio.NewWriter(&buf))
-	return w, func() *wire.Reader { return wire.NewReader(c, bufio.NewReader(&buf)) }
+	w := wire.NewWriter(bufio.NewWriter(&buf))
+	return w, func() *wire.Reader { return wire.NewReader(bufio.NewReader(&buf)) }
 }
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -26,30 +27,59 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 1<<63 + 5, Op: "write", Reg: "shard-7", Val: json.RawMessage(`{"x":1}`), Client: "deadbeef01234567", Seq: 1 << 40},
 		{Op: "read"}, // all-zero fields
 		{ID: 4, Op: "write", Val: json.RawMessage(`"line1\nline2 ünïcødé"`), Client: "c", Seq: 2},
+		{ID: 5, Op: "qread", Reg: "q"},
+		{ID: 6, Op: "qwrite", Val: json.RawMessage(`"q"`), TS: -3, WID: 7},
 	}
-	for _, c := range []wire.Codec{wire.Binary, wire.JSON} {
-		w, rd := codecPipe(c)
-		for i := range reqs {
-			if err := w.WriteRequest(&reqs[i]); err != nil {
-				t.Fatalf("%v: WriteRequest(%d): %v", c, i, err)
-			}
+	w, rd := pipe()
+	for i := range reqs {
+		if err := w.WriteRequest(&reqs[i]); err != nil {
+			t.Fatalf("WriteRequest(%d): %v", i, err)
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := rd()
+	for i := range reqs {
+		var got wire.Request
+		if err := r.ReadRequest(&got); err != nil {
+			t.Fatalf("ReadRequest(%d): %v", i, err)
 		}
-		r := rd()
-		for i := range reqs {
-			var got wire.Request
-			if err := r.ReadRequest(&got); err != nil {
-				t.Fatalf("%v: ReadRequest(%d): %v", c, i, err)
-			}
-			want := reqs[i]
-			if got.ID != want.ID || got.Op != want.Op || got.Reg != want.Reg ||
-				got.Port != want.Port || got.Client != want.Client || got.Seq != want.Seq ||
-				!bytes.Equal(got.Val, want.Val) {
-				t.Fatalf("%v: request %d round-tripped to %+v, want %+v", c, i, got, want)
-			}
+		want := reqs[i]
+		if got.ID != want.ID || got.Op != want.Op || got.Reg != want.Reg ||
+			got.Port != want.Port || got.Client != want.Client || got.Seq != want.Seq ||
+			!bytes.Equal(got.Val, want.Val) || got.TS != want.TS || got.WID != want.WID {
+			t.Fatalf("request %d round-tripped to %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+// TestUnknownOpRefused checks the encoder refuses an op it has no kind
+// byte for, buffering nothing, instead of sending it as some other op: a
+// misspelled "write" must never reach a server as a read.
+func TestUnknownOpRefused(t *testing.T) {
+	w, rd := pipe()
+	for _, op := range []string{"wrtie", "", "READ", "cas"} {
+		if err := w.WriteRequest(&wire.Request{ID: 1, Op: op, Val: json.RawMessage(`"v"`)}); !errors.Is(err, wire.ErrUnknownOp) {
+			t.Fatalf("WriteRequest(op %q) = %v, want ErrUnknownOp", op, err)
+		}
+	}
+	if err := w.WriteRequest(&wire.Request{ID: 2, Op: "write", Val: json.RawMessage(`"v"`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := rd()
+	var got wire.Request
+	if err := r.ReadRequest(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != 2 || got.Op != "write" {
+		t.Fatalf("first frame on the wire = %+v, want the write (refused ops must buffer nothing)", got)
+	}
+	if n := r.Buffered(); n != 0 {
+		t.Fatalf("%d bytes follow the only valid frame", n)
 	}
 }
 
@@ -59,28 +89,27 @@ func TestResponseRoundTrip(t *testing.T) {
 		{ID: 2, Stamp: -7, Err: "port 9 out of range"},
 		{Stamp: 0},
 		{ID: 1 << 50, Stamp: 1<<62 + 3, Val: json.RawMessage(`{"nested":["a","b"]}`)},
+		{ID: 3, Stamp: 11, WID: 4, Val: json.RawMessage(`"q"`)},
 	}
-	for _, c := range []wire.Codec{wire.Binary, wire.JSON} {
-		w, rd := codecPipe(c)
-		for i := range resps {
-			if err := w.WriteResponse(&resps[i]); err != nil {
-				t.Fatalf("%v: WriteResponse(%d): %v", c, i, err)
-			}
+	w, rd := pipe()
+	for i := range resps {
+		if err := w.WriteResponse(&resps[i]); err != nil {
+			t.Fatalf("WriteResponse(%d): %v", i, err)
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := rd()
+	for i := range resps {
+		var got wire.Response
+		if err := r.ReadResponse(&got); err != nil {
+			t.Fatalf("ReadResponse(%d): %v", i, err)
 		}
-		r := rd()
-		for i := range resps {
-			var got wire.Response
-			if err := r.ReadResponse(&got); err != nil {
-				t.Fatalf("%v: ReadResponse(%d): %v", c, i, err)
-			}
-			want := resps[i]
-			if got.ID != want.ID || got.Stamp != want.Stamp || got.Err != want.Err ||
-				!bytes.Equal(got.Val, want.Val) {
-				t.Fatalf("%v: response %d round-tripped to %+v, want %+v", c, i, got, want)
-			}
+		want := resps[i]
+		if got.ID != want.ID || got.Stamp != want.Stamp || got.Err != want.Err ||
+			!bytes.Equal(got.Val, want.Val) || got.WID != want.WID {
+			t.Fatalf("response %d round-tripped to %+v, want %+v", i, got, want)
 		}
 	}
 }
@@ -94,7 +123,7 @@ func TestRandomRoundTrip(t *testing.T) {
 		rng.Read(b)
 		return b
 	}
-	w, rd := codecPipe(wire.Binary)
+	w, rd := pipe()
 	var want []wire.Request
 	for i := 0; i < 200; i++ {
 		op := "read"
@@ -135,44 +164,12 @@ func TestRandomRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSniff checks the one-byte codec negotiation: binary frames lead with
-// 0x00 (a < 16 MiB length's high byte), JSON frames with the document's
-// first byte.
-func TestSniff(t *testing.T) {
-	for _, c := range []wire.Codec{wire.Binary, wire.JSON} {
-		var buf bytes.Buffer
-		w := wire.NewWriter(c, bufio.NewWriter(&buf))
-		if err := w.WriteRequest(&wire.Request{ID: 1, Op: "read"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		br := bufio.NewReader(&buf)
-		got, err := wire.Sniff(br)
-		if err != nil {
-			t.Fatalf("%v: Sniff: %v", c, err)
-		}
-		if got != c {
-			t.Fatalf("Sniff(%v frame) = %v", c, got)
-		}
-		// Sniff must consume nothing: the frame still decodes.
-		var req wire.Request
-		if err := wire.NewReader(got, br).ReadRequest(&req); err != nil {
-			t.Fatalf("%v: decode after Sniff: %v", c, err)
-		}
-		if req.Op != "read" || req.ID != 1 {
-			t.Fatalf("%v: frame after Sniff = %+v", c, req)
-		}
-	}
-}
-
 // TestOversizedFrameRejected checks the framing guard: a corrupted length
 // prefix (as a garbled link produces) must be a clean error, not a 500 MB
 // allocation.
 func TestOversizedFrameRejected(t *testing.T) {
 	raw := []byte{0x20, 0x00, 0x00, 0x01, 0xff} // garbled high byte: length 537 MB
-	r := wire.NewReader(wire.Binary, bufio.NewReader(bytes.NewReader(raw)))
+	r := wire.NewReader(bufio.NewReader(bytes.NewReader(raw)))
 	var req wire.Request
 	err := r.ReadRequest(&req)
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
@@ -184,7 +181,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 // frame errors rather than hanging or mis-parsing.
 func TestTruncatedFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	w := wire.NewWriter(wire.Binary, bufio.NewWriter(&buf))
+	w := wire.NewWriter(bufio.NewWriter(&buf))
 	if err := w.WriteRequest(&wire.Request{ID: 7, Op: "write", Val: json.RawMessage(`"x"`), Client: "c", Seq: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +190,7 @@ func TestTruncatedFrameRejected(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for n := 0; n < len(full); n++ {
-		r := wire.NewReader(wire.Binary, bufio.NewReader(bytes.NewReader(full[:n])))
+		r := wire.NewReader(bufio.NewReader(bytes.NewReader(full[:n])))
 		var req wire.Request
 		if err := r.ReadRequest(&req); err == nil {
 			t.Fatalf("frame truncated to %d/%d bytes decoded successfully: %+v", n, len(full), req)
@@ -201,98 +198,51 @@ func TestTruncatedFrameRejected(t *testing.T) {
 	}
 }
 
-// TestJSONWireCompat pins the JSON codec to the original hand-writable
-// wire format: the exact frames the pre-binary tests (and any external
-// client) send must still decode, and responses must still carry the same
-// field names.
-func TestJSONWireCompat(t *testing.T) {
-	r := wire.NewReader(wire.JSON, bufio.NewReader(strings.NewReader(
-		`{"op":"write","val":"\"once\"","client":"c1","seq":7}`+"\n"+
-			`{"op":"read","port":2}`+"\n")))
-	var req wire.Request
-	if err := r.ReadRequest(&req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != "write" || string(req.Val) != `"\"once\""` || req.Client != "c1" || req.Seq != 7 || req.ID != 0 {
-		t.Fatalf("legacy write frame decoded to %+v", req)
-	}
-	if err := r.ReadRequest(&req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != "read" || req.Port != 2 {
-		t.Fatalf("legacy read frame decoded to %+v", req)
-	}
-
+// TestBufferedTracksBothLayers checks the flush heuristic's input: after a
+// partial read, Buffered must see the remaining frames still sitting in
+// the bufio layer below the decoder, and report zero once the decoder
+// has consumed them all.
+func TestBufferedTracksBothLayers(t *testing.T) {
 	var buf bytes.Buffer
-	w := wire.NewWriter(wire.JSON, bufio.NewWriter(&buf))
-	if err := w.WriteResponse(&wire.Response{Stamp: 9, Val: json.RawMessage(`"v"`)}); err != nil {
-		t.Fatal(err)
+	w := wire.NewWriter(bufio.NewWriter(&buf))
+	for i := 0; i < 3; i++ {
+		if err := w.WriteRequest(&wire.Request{ID: uint64(i + 1), Op: "read"}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+	r := wire.NewReader(bufio.NewReader(&buf))
+	var req wire.Request
+	if err := r.ReadRequest(&req); err != nil {
 		t.Fatal(err)
 	}
-	if m["stamp"] != float64(9) || m["val"] != "v" {
-		t.Fatalf("response JSON = %s, want legacy stamp/val fields", buf.Bytes())
+	if r.Buffered() == 0 {
+		t.Fatal("two frames remain but Buffered() = 0")
 	}
-	if _, has := m["id"]; has {
-		t.Fatalf("id 0 should be omitted for legacy clients, got %s", buf.Bytes())
-	}
-}
-
-// TestBufferedTracksBothLayers checks the flush heuristic's input: after a
-// partial read, Buffered must see the remaining frames whether they sit in
-// the bufio layer (binary) or the json.Decoder's own buffer (JSON).
-func TestBufferedTracksBothLayers(t *testing.T) {
-	for _, c := range []wire.Codec{wire.Binary, wire.JSON} {
-		var buf bytes.Buffer
-		w := wire.NewWriter(c, bufio.NewWriter(&buf))
-		for i := 0; i < 3; i++ {
-			if err := w.WriteRequest(&wire.Request{ID: uint64(i + 1), Op: "read"}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r := wire.NewReader(c, bufio.NewReader(&buf))
-		var req wire.Request
+	for i := 0; i < 2; i++ {
 		if err := r.ReadRequest(&req); err != nil {
 			t.Fatal(err)
 		}
-		if r.Buffered() == 0 {
-			t.Fatalf("%v: two frames remain but Buffered() = 0", c)
-		}
-		for i := 0; i < 2; i++ {
-			if err := r.ReadRequest(&req); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := r.Buffered(); n != 0 {
-			t.Fatalf("%v: stream drained but Buffered() = %d", c, n)
-		}
+	}
+	if n := r.Buffered(); n != 0 {
+		t.Fatalf("stream drained but Buffered() = %d", n)
 	}
 }
 
 func BenchmarkEncodeRequest(b *testing.B) {
 	req := wire.Request{ID: 12345, Op: "write", Val: json.RawMessage(`"w0-17"`), Client: "deadbeef01234567", Seq: 12345}
-	for _, c := range []wire.Codec{wire.Binary, wire.JSON} {
-		b.Run(c.String(), func(b *testing.B) {
-			var buf bytes.Buffer
-			buf.Grow(1 << 20)
-			w := wire.NewWriter(c, bufio.NewWriter(&buf))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if i%1024 == 0 {
-					buf.Reset()
-				}
-				if err := w.WriteRequest(&req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var buf bytes.Buffer
+	buf.Grow(1 << 20)
+	w := wire.NewWriter(bufio.NewWriter(&buf))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			buf.Reset()
+		}
+		if err := w.WriteRequest(&req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
