@@ -3,7 +3,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,9 +14,9 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/history"
 	"repro/internal/linz"
-	"repro/internal/loadgen"
 	"repro/internal/netreg"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // violationHTML is the timeline artifact the -certify mode always
@@ -22,7 +24,7 @@ import (
 // violating operations highlighted. CI uploads it.
 const violationHTML = "LINZ_violation.html"
 
-// certOffline is the offline row: a journaled load-generator run checked
+// certOffline is the offline row: a journaled closed-loop run checked
 // after the fact as one history.
 type certOffline struct {
 	Ops        int     `json:"ops"`
@@ -38,7 +40,7 @@ type certOffline struct {
 }
 
 // certOnline is the online row: the windowed checker running live
-// against an open-loop run at half the measured peak.
+// against a run paced to half the offline row's peak.
 type certOnline struct {
 	OfferedPS     float64 `json:"offered_ops_per_sec"`
 	AchievedPS    float64 `json:"achieved_ops_per_sec"`
@@ -119,8 +121,8 @@ func certifyTable(ops int, jsonOut bool) error {
 	if err != nil {
 		return fmt.Errorf("online row: %w", err)
 	}
-	fmt.Printf("%-10s %8.0f offered/s  %d ops checked (%.0f%% coverage)  windows %d ok / %d violation / %d undecided  shed %d  %.1fM ops/s checker\n",
-		"online", on.OfferedPS, on.OpsChecked, on.Coverage*100,
+	fmt.Printf("%-10s %8.0f offered/s  %8.0f achieved/s  %d ops checked (%.0f%% coverage)  windows %d ok / %d violation / %d undecided  shed %d  %.1fM ops/s checker\n",
+		"online", on.OfferedPS, on.AchievedPS, on.OpsChecked, on.Coverage*100,
 		on.WindowsOK, on.WindowsViol, on.WindowsUndec, on.ShedOps, on.CheckedPerSec/1e6)
 	if on.WindowsViol != 0 {
 		return fmt.Errorf("online checker reported %d violating windows on clean traffic", on.WindowsViol)
@@ -200,22 +202,106 @@ func certifyDur(ops int) time.Duration {
 	}
 }
 
-// certifyGen is the canonical certification workload: multiple registers,
-// unique write values (so two writes can never alias in the checker),
-// pipelined connections.
-func certifyGen(addr string, dur time.Duration) loadgen.Config {
-	return loadgen.Config{
-		Addr:         addr,
-		Conns:        4,
-		Depth:        32,
-		Duration:     dur,
-		ReadFrac:     0.8,
-		ValueBytes:   16,
-		UniqueValues: true,
-		Regs:         []string{"", "reg1", "reg2"},
-		ZipfS:        1.2,
-		Seed:         11,
+// The certification workload: certClients netreg.Clients, each driven by
+// certWorkers goroutines; every op names a register picked Zipf(certZipfS)
+// over certRegs, hottest first; certReadFrac reads; every write a
+// distinct certValBytes-byte JSON string, so two writes never alias in
+// the checker. Each connection carries all three registers: the server's
+// journal tap stamps a connection's ops back to back, so a register with
+// a connection of its own would never go quiescent, and the checker
+// could never cut its history.
+const (
+	certClients  = 4
+	certWorkers  = 32
+	certReadFrac = 0.8
+	certZipfS    = 1.2
+	certValBytes = 16
+)
+
+// certRegs are the registers the workload spreads over, hottest first.
+var certRegs = [...]string{"", "reg1", "reg2"}
+
+// certRun is one traffic run's accounting.
+type certRun struct {
+	done       int64
+	achievedPS float64
+}
+
+// certifyTraffic drives the certification workload against addr for dur
+// through netreg.Client.Do. With rate 0 every goroutine runs closed
+// loop; with rate > 0 each one issues its share of rate ops/s on a fixed
+// schedule, waiting only when it is ahead. seed fixes the op mix and the
+// register picks, and is part of every write value, so runs with
+// distinct seeds never repeat a value. Any failed op fails the run.
+func certifyTraffic(addr string, dur time.Duration, rate float64, seed int64) (certRun, error) {
+	clients := make([]*netreg.Client[json.RawMessage], certClients)
+	for i := range clients {
+		c, err := netreg.Dial[json.RawMessage](addr, netreg.WithTimeout(5*time.Second))
+		if err != nil {
+			return certRun{}, err
+		}
+		defer c.Close()
+		clients[i] = c
 	}
+
+	const workers = certClients * certWorkers
+	var gap time.Duration
+	if rate > 0 {
+		gap = time.Duration(workers / rate * float64(time.Second))
+	}
+	var done atomic.Int64
+	errs := make(chan error, workers)
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			rng := rand.New(rand.NewSource(seed<<16 + int64(w)))
+			zipf := rand.NewZipf(rng, certZipfS, 1, uint64(len(certRegs)-1))
+			c := clients[w/certWorkers]
+			tag := "s" + strconv.FormatInt(seed, 10) + "w" + strconv.Itoa(w) + "-"
+			phase := time.Duration(rng.Int63n(int64(gap) + 1))
+			var val []byte
+			for k := 0; ; k++ {
+				now := time.Since(start)
+				if gap > 0 {
+					at := phase + time.Duration(k)*gap
+					if at >= dur {
+						break
+					}
+					if at > now {
+						time.Sleep(at - now)
+					}
+				} else if now >= dur {
+					break
+				}
+				req := wire.Request{Op: "read", Reg: certRegs[zipf.Uint64()]}
+				if rng.Float64() >= certReadFrac {
+					val = append(append(val[:0], '"'), tag...)
+					val = strconv.AppendInt(val, int64(k), 16)
+					for len(val) < certValBytes+1 {
+						val = append(val, 'x')
+					}
+					req.Op, req.Val = "write", append(val, '"')
+				}
+				if _, err := c.Do(&req); err != nil {
+					errs <- err
+					return
+				}
+				done.Add(1)
+			}
+			errs <- nil
+		}(w)
+	}
+	var err error
+	for w := 0; w < workers; w++ {
+		if e := <-errs; e != nil && err == nil {
+			err = e
+		}
+	}
+	if err != nil {
+		return certRun{}, err
+	}
+	n := done.Load()
+	return certRun{done: n, achievedPS: float64(n) / time.Since(start).Seconds()}, nil
 }
 
 // certifyServer starts a journaled in-process server hosting the
@@ -240,9 +326,8 @@ func certifyServer(j *obs.Journal) (*netreg.Server, error) {
 // drainInto pumps journal records into a per-key history accumulation
 // until stop is closed, then drains once more. Flagged records (refused
 // ops, dedup replays) are skipped, as the checkers would. The history is
-// the drainer's alone until done closes; count is the concurrently
-// readable progress signal.
-func drainInto(j *obs.Journal, h *linz.History, count *atomic.Int64, stop <-chan struct{}, done chan<- struct{}) {
+// the drainer's alone until done closes.
+func drainInto(j *obs.Journal, h *linz.History, stop <-chan struct{}, done chan<- struct{}) {
 	names := map[uint32]string{}
 	drain := func() {
 		for _, s := range j.Sources() {
@@ -260,7 +345,6 @@ func drainInto(j *obs.Journal, h *linz.History, count *atomic.Int64, stop <-chan
 					kind = linz.Write
 				}
 				h.Add(name, linz.Op{Inv: r.Inv, Res: r.Res, Val: r.Val, Client: r.Client, Kind: kind})
-				count.Add(1)
 			})
 		}
 	}
@@ -289,24 +373,21 @@ func certifyOffline(ops int) (certOffline, error) {
 	defer srv.Close()
 
 	h := linz.NewHistory()
-	var drained atomic.Int64
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	go drainInto(j, h, &drained, stop, done)
+	go drainInto(j, h, stop, done)
 
 	var peak float64
-	cfg := certifyGen(srv.Addr(), certifyDur(ops))
-	for iter := 0; drained.Load() < int64(ops) && iter < 40; iter++ {
-		cfg.Seed++
-		r, err := loadgen.Run(cfg)
+	var total int64
+	for iter := 0; total < int64(ops) && iter < 40; iter++ {
+		r, err := certifyTraffic(srv.Addr(), certifyDur(ops), 0, int64(iter))
 		if err != nil {
 			close(stop)
 			<-done
 			return certOffline{}, err
 		}
-		if r.Load.AchievedPS > peak {
-			peak = r.Load.AchievedPS
-		}
+		total += r.done
+		peak = max(peak, r.achievedPS)
 	}
 	srv.Close() // closes conns → taps close → horizon unbounded
 	close(stop)
@@ -330,8 +411,8 @@ func certifyOffline(ops int) (certOffline, error) {
 	return row, nil
 }
 
-// certifyOnline runs the windowed checker live against an open-loop run
-// at half the measured peak — the regime the online mode is built for.
+// certifyOnline runs the windowed checker live against a run paced to
+// half the measured peak — the regime the online mode is built for.
 func certifyOnline(ops int, peak float64) (certOnline, error) {
 	j := obs.NewJournal(obs.WithJournalRing(1 << 17))
 	srv, err := certifyServer(j)
@@ -348,18 +429,9 @@ func certifyOnline(ops int, peak float64) (certOnline, error) {
 	})
 	ol.Start()
 
-	cfg := certifyGen(srv.Addr(), certifyDur(ops))
-	cfg.Rate = peak / 2
-	if cfg.Rate < 1000 {
-		cfg.Rate = 1000
-	}
-	if d := time.Duration(float64(ops) / cfg.Rate * float64(time.Second)); d > cfg.Duration {
-		cfg.Duration = d
-	}
-	if cfg.Duration > 6*time.Second {
-		cfg.Duration = 6 * time.Second
-	}
-	r, err := loadgen.Run(cfg)
+	rate := max(peak/2, 1000)
+	dur := max(certifyDur(ops), time.Duration(float64(ops)/rate*float64(time.Second)))
+	r, err := certifyTraffic(srv.Addr(), min(dur, 6*time.Second), rate, 0)
 	if err != nil {
 		srv.Close()
 		ol.Stop()
@@ -373,8 +445,8 @@ func certifyOnline(ops int, peak float64) (certOnline, error) {
 	}
 	snap := tally.Snapshot()
 	row := certOnline{
-		OfferedPS:     r.Load.OfferedPS,
-		AchievedPS:    r.Load.AchievedPS,
+		OfferedPS:     rate,
+		AchievedPS:    r.achievedPS,
 		OpsChecked:    snap.OpsChecked,
 		WindowsOK:     snap.WindowsOK,
 		WindowsViol:   snap.WindowsViolation,
@@ -384,8 +456,8 @@ func certifyOnline(ops int, peak float64) (certOnline, error) {
 		Drops:         snap.JournalDrops,
 		CheckedPerSec: snap.CheckedPerSec,
 	}
-	if r.Load.Achieved > 0 {
-		row.Coverage = float64(snap.OpsChecked) / float64(r.Load.Achieved)
+	if r.done > 0 {
+		row.Coverage = float64(snap.OpsChecked) / float64(r.done)
 	}
 	return row, nil
 }
@@ -424,11 +496,11 @@ func certifyOverhead(ops int) (certOverhead, error) {
 			}()
 			defer func() { close(stop); <-done }()
 		}
-		r, err := loadgen.Run(certifyGen(srv.Addr(), dur))
+		r, err := certifyTraffic(srv.Addr(), dur, 0, 0)
 		if err != nil {
 			return 0, err
 		}
-		return r.Load.AchievedPS, nil
+		return r.achievedPS, nil
 	}
 
 	var row certOverhead

@@ -10,6 +10,7 @@
 //	bloombench [-ops N] [-json]
 //	bloombench -faults [-ops N] [-json]
 //	bloombench -net [-ops N] [-json]
+//	bloombench -certify [-ops N] [-json]
 //	bloombench -serve :8080
 //
 // With -json, the substrate sweep is also written to BENCH_substrates.json
@@ -27,21 +28,16 @@
 // multi-register fan-out behind one listener, and a certified pipelined
 // two-writer run. Combined with -json it writes BENCH_net.json.
 //
-// With -load, bloombench instead runs the T-load table: the open-loop
-// saturation curve (closed-loop peak probe, then Poisson arrivals
-// stepped as fractions of the peak, latency measured from scheduled
-// arrivals). At real op counts it enforces the raw-speed campaign's ≥3x
-// bar over the single-connection depth-64 figure. Combined with -json it
-// writes BENCH_loadgen.json. The full generator with every knob is
-// cmd/bloomload.
-//
 // With -certify, bloombench instead runs the T-certify table: a journaled
-// load-generator run checked offline as one history (internal/linz), the
-// online windowed checker shadowing an open-loop run at half peak, the
-// journal tap's hot-path overhead, the seeded faulty pipelined two-writer
-// run certified atomic online, and a synthetic non-atomic history that
-// must fail — its timeline is rendered to LINZ_violation.html. Combined
-// with -json it writes BENCH_certify.json.
+// closed-loop run through netreg.Client checked offline as one history
+// (internal/linz), the online windowed checker shadowing a run paced to
+// half the offline peak, the journal tap's hot-path overhead, the seeded
+// faulty pipelined two-writer run certified atomic online, and a
+// synthetic non-atomic history that must fail — its timeline is rendered
+// to LINZ_violation.html. Combined with -json it writes BENCH_certify.json.
+//
+// Load generation and latency under load live in the benchmark of
+// record, bench/ (bash bench/run.sh; see bench/README.md).
 //
 // With -serve, bloombench instead runs an open-ended observed workload
 // over every substrate and serves /metrics (Prometheus text format),
@@ -84,9 +80,7 @@ func run() error {
 	jsonOut := flag.Bool("json", false, "also write BENCH_substrates.json and BENCH_obs.json (or BENCH_fault.json / BENCH_net.json with -faults / -net)")
 	faults := flag.Bool("faults", false, "run the T-fault table (faulty-link recovery) instead of the default tables")
 	netSweep := flag.Bool("net", false, "run the T-net table (pipeline depth throughput) instead of the default tables")
-	load := flag.Bool("load", false, "run the T-load table (open-loop saturation curve) instead of the default tables")
 	certify := flag.Bool("certify", false, "run the T-certify table (journal + linearizability checking) instead of the default tables")
-	replicaFlag := flag.Bool("replica", false, "run the T-replica table (ABD quorum register: variant costs + tolerated-crash soak) instead of the default tables")
 	serveAddr := flag.String("serve", "", "serve /metrics, /vars, and /debug/pprof/ on this address instead of running the tables")
 	flag.Parse()
 
@@ -99,14 +93,8 @@ func run() error {
 	if *netSweep {
 		return netTable(*ops, *jsonOut)
 	}
-	if *load {
-		return loadTable(*ops, *jsonOut)
-	}
 	if *certify {
 		return certifyTable(*ops, *jsonOut)
-	}
-	if *replicaFlag {
-		return replicaTable(*ops, *jsonOut)
 	}
 
 	costTable(*ops)

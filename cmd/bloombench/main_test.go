@@ -79,21 +79,6 @@ func TestCertifyTableSmoke(t *testing.T) {
 	}
 }
 
-// TestReplicaTableSmoke runs the -replica mode end to end with a tiny op
-// count: every row self-checks (no-quorum failures on a healthy cluster,
-// a fast path that never engages, and an uncertified crash soak all fail
-// it), so "no error" is the whole assertion.
-func TestReplicaTableSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs timed quorum workloads and a crash soak")
-	}
-	dir := t.TempDir()
-	t.Chdir(dir)
-	if err := replicaTable(50, false); err != nil {
-		t.Fatalf("replicaTable: %v", err)
-	}
-}
-
 // TestServeMux exercises the -serve handlers over httptest, without
 // binding a real socket or starting workloads.
 func TestServeMux(t *testing.T) {

@@ -2,9 +2,9 @@
 // heap-allocation-free on every path, transitively.
 //
 // The repository's hot paths — wire frame parse/append, Store.handle,
-// the journal Record fast path, the loadgen ring operations, the obs
-// counter and histogram fast paths — are benchmarked at 0 allocs/op and
-// CI gates on that number. But a runtime gate only covers the schedules
+// the journal Record fast path, the quorum engine's read and write
+// paths, the obs counter and histogram fast paths — are benchmarked at
+// 0 allocs/op and CI gates on that number. But a runtime gate only covers the schedules
 // and inputs a benchmark happens to exercise; this analyzer makes the
 // same claim static, over all paths, at vet time.
 //

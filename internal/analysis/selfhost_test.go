@@ -26,7 +26,6 @@ var selfhostPkgs = []string{
 	"repro/internal/wire",
 	"repro/internal/netreg",
 	"repro/internal/replica",
-	"repro/internal/loadgen",
 	"repro/internal/linz",
 	"repro/internal/analysis",
 	"repro/internal/analysis/atest",

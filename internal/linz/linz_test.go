@@ -238,7 +238,7 @@ func TestVerdictStrings(t *testing.T) {
 
 // TestLongSequentialFastPath pushes a large fully-quiescent history
 // through the per-op fast path: this is the shape a low-concurrency
-// bloomload run produces, and it must stay effectively linear time.
+// load run produces, and it must stay effectively linear time.
 func TestLongSequentialFastPath(t *testing.T) {
 	const n = 100_000
 	h := NewHistory()

@@ -458,7 +458,9 @@ func (c *Client[V]) roundTrip(req *wire.Request) (wire.Response, error) {
 	id := c.seq.Add(1)
 	req.ID, req.Seq = id, id
 	req.Client = c.id
-	req.Reg = c.regName
+	if req.Reg == "" {
+		req.Reg = c.regName
+	}
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -562,10 +564,13 @@ func isTimeout(err error) bool {
 // Do performs one logical round trip for a caller-built request,
 // through this client's whole recovery stack (pipelining, retry with
 // per-client jittered backoff, reconnect, circuit breaker, at-most-once
-// dedup identity). The client owns the request's identity: ID, Seq,
-// Client, and Reg are overwritten. A server error reply is returned as a
-// non-nil error alongside the response. The response value does not alias
-// the connection's frame buffer and is safe to retain.
+// dedup identity). The client owns the request's identity: ID, Seq and
+// Client are overwritten. A request that names a register (Reg) goes to
+// it; an empty Reg means the client's register (WithRegister), so one
+// connection can carry traffic for several registers. A server error
+// reply is returned as a non-nil error alongside the response. The
+// response value does not alias the connection's frame buffer and is
+// safe to retain.
 //
 // The op must be "read", "write", "qread" or "qwrite". Any other op fails
 // at once with an error wrapping wire.ErrUnknownOp; nothing is sent and

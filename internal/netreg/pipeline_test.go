@@ -90,8 +90,18 @@ func TestPipelineDepthOverlaps(t *testing.T) {
 	if in, out := ws.Frames(); in != depth || out != depth {
 		t.Fatalf("frames = %d in / %d out, want %d/%d", in, out, depth, depth)
 	}
-	if in, out := ws.Bytes(); in == 0 || out == 0 {
-		t.Fatalf("bytes = %d in / %d out, want both nonzero", in, out)
+	// The writer goroutine counts a flush's bytes when the syscall
+	// returns, which can be after the server has answered and every
+	// caller has its response: wait for the count, bounded by the
+	// client's timeout.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		in, out := ws.Bytes()
+		if in != 0 && out != 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("bytes = %d in / %d out, want both nonzero", in, out)
+		}
 	}
 }
 
@@ -344,6 +354,16 @@ func TestMultiRegisterHosting(t *testing.T) {
 	}
 	if st.RegisterCounters("nope") != nil {
 		t.Fatal("counters for unknown register should be nil")
+	}
+
+	// Do sends a request that names a register to that register, whatever
+	// the client is aimed at: one connection can serve several registers.
+	resp, err := def.Do(&wire.Request{Op: "read", Reg: "beta"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resp.Val) != `"beta-1"` {
+		t.Fatalf("Do naming beta read %s, want %q", resp.Val, `"beta-1"`)
 	}
 
 	ghost := dial("no-such-register")

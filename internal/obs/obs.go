@@ -44,7 +44,8 @@ const cacheLine = 64
 // NumBuckets is the number of latency histogram buckets. Bucket i counts
 // durations d with 2^(i-1) ≤ d < 2^i nanoseconds (bucket 0 counts d < 1ns,
 // i.e. clock-resolution zeros); the last bucket additionally absorbs
-// everything ≥ 2^(NumBuckets-2) ns (≈ 0.27s), serving as the +Inf bucket.
+// everything ≥ 2^(NumBuckets-2) ns = 2^27 ns (≈ 0.134s), serving as the
+// +Inf bucket.
 const NumBuckets = 29
 
 // Hist is a fixed-bucket latency histogram with power-of-two boundaries.
@@ -78,8 +79,10 @@ func BucketBound(i int) time.Duration {
 	return time.Duration(int64(1) << uint(i))
 }
 
-// Observe records one duration. It runs on the load generator's reaper
-// goroutine once per response, so it must never block.
+// Observe records one duration. Its callers sit on hot paths — the core
+// observer once per simulated operation, the netreg RPC stats once per
+// round trip, the replica tally once per quorum op — so it must never
+// block.
 //
 //bloom:waitfree
 //bloom:noalloc
@@ -97,25 +100,11 @@ func (h *Hist) Count() int64 {
 	return n
 }
 
-// Merge adds o's observations into h. Loadgen drivers record into a
-// per-connection histogram to keep the hot path free of cross-core
-// contention, then merge them into one for the quantile report.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil {
-		return
-	}
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.sum.Add(o.sum.Load())
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the recorded
 // durations, linearly interpolated within the containing power-of-two
-// bucket. It is the p50/p99/p999 source for the latency-under-load
-// tables; with no observations it returns 0.
+// bucket. It is shorthand for Snapshot().Quantile(q), the interpolation
+// behind the /metrics quantile gauges of the core observer, the netreg
+// RPC stats and the replica tally; with no observations it returns 0.
 func (h *Hist) Quantile(q float64) time.Duration {
 	return h.Snapshot().Quantile(q)
 }

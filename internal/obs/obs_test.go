@@ -28,6 +28,8 @@ func TestBucketBoundaries(t *testing.T) {
 		{4, 3},
 		{1023, 10},
 		{1024, 11},
+		{1<<27 - 1, NumBuckets - 2},   // the last bounded bucket's top
+		{1 << 27, NumBuckets - 1},     // 2^27 ns ≈ 0.134s: the +Inf bucket starts here
 		{time.Second, NumBuckets - 1}, // 1e9 ns needs 30 bits → capped into +Inf
 		{time.Hour, NumBuckets - 1},
 	}
@@ -71,6 +73,39 @@ func TestHistTotals(t *testing.T) {
 	}
 	if h.Sum() != sum {
 		t.Fatalf("Sum = %v, want %v", h.Sum(), sum)
+	}
+}
+
+func TestHistQuantile(t *testing.T) {
+	h := &Hist{}
+	// 1000 observations at ~1µs, 10 at ~1ms: p50 in the µs bucket, p999+
+	// in the ms bucket.
+	for i := 0; i < 1000; i++ {
+		h.Observe(time.Microsecond)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(time.Millisecond)
+	}
+	p50 := h.Quantile(0.50)
+	if p50 < 512*time.Nanosecond || p50 > 2*time.Microsecond {
+		t.Fatalf("p50 = %v, want ~1µs", p50)
+	}
+	p999 := h.Quantile(0.999)
+	if p999 < 512*time.Microsecond || p999 > 2*time.Millisecond {
+		t.Fatalf("p999 = %v, want ~1ms", p999)
+	}
+	if q := h.Quantile(0); q > p50 {
+		t.Fatalf("q0 = %v above p50 %v", q, p50)
+	}
+	if q0, q1 := h.Quantile(0.2), h.Quantile(0.99); q0 > q1 {
+		t.Fatalf("quantiles not monotone: q(0.2)=%v > q(0.99)=%v", q0, q1)
+	}
+}
+
+func TestHistQuantileEmpty(t *testing.T) {
+	h := &Hist{}
+	if q := h.Quantile(0.99); q != 0 {
+		t.Fatalf("empty hist quantile = %v, want 0", q)
 	}
 }
 

@@ -17,7 +17,6 @@ func TestFreshRegistryMetricsFinite(t *testing.T) {
 		"observer": func(b *strings.Builder) { New(2).WritePrometheus(b) },
 		"rpc":      func(b *strings.Builder) { NewRPC().WritePrometheus(b) },
 		"wire":     func(b *strings.Builder) { NewWire().WritePrometheus(b) },
-		"load":     func(b *strings.Builder) { NewLoad().WritePrometheus(b) },
 		"linz":     func(b *strings.Builder) { NewLinz().WritePrometheus(b) },
 		"replica":  func(b *strings.Builder) { NewReplica(3).WritePrometheus(b) },
 	}

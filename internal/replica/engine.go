@@ -565,14 +565,16 @@ func (e *econn) redial() net.Conn {
 
 // QClient is a quorum client over m replicas, built on the persistent
 // engine (see the file comment). All methods are safe for concurrent
-// use; one QClient is one writer identity. Concurrent same-key reads
-// combine: followers piggyback on the leader's in-flight quorum query
-// and complete in zero rounds of their own. ModeFast clients
-// additionally elide a read's write-back when a quorum is already known
-// to hold the candidate (ts, wid) — the watermark raised by earlier
-// writes, write-backs, and unanimous queries — so repeat reads of a
-// settled register take the one-round path even when a straggler
-// replica lags.
+// use, writes included; one QClient is one writer identity, and its
+// stamp floor gives every write it issues its own timestamp, so
+// concurrent writes never install two values under one (ts, wid).
+// Concurrent same-key reads combine: followers piggyback on the leader's
+// in-flight quorum query and complete in zero rounds of their own.
+// ModeFast clients additionally elide a read's write-back when a quorum
+// is already known to hold the candidate (ts, wid) — the watermark
+// raised by earlier writes, write-backs, and unanimous queries — so
+// repeat reads of a settled register take the one-round path even when a
+// straggler replica lags.
 type QClient struct {
 	conns   []*econn
 	quorum  int
@@ -587,6 +589,10 @@ type QClient struct {
 
 	pool arena
 	comb combiner
+
+	// lastTS is the stamp floor: the newest timestamp this client has
+	// given a write. Raised by CAS in nextTS; monotone.
+	lastTS atomic.Int64
 
 	// Acked watermark: the newest (ts, wid) proven held by a full
 	// quorum. Monotone; used by ModeFast write-back elision.
@@ -1110,7 +1116,7 @@ func (q *QClient) WriteStamped(val json.RawMessage) (int64, uint32, error) {
 		q.retire(s)
 		return 0, 0, err
 	}
-	ts := s.bestTS + 1
+	ts := q.nextTS(s.bestTS)
 
 	// Phase 2: install (ts, wid, val) at a majority.
 	if !q.runPhase(s, kQWrite, ts, q.wid, s.wval, false) {
@@ -1125,6 +1131,24 @@ func (q *QClient) WriteStamped(val json.RawMessage) (int64, uint32, error) {
 	q.tally.RecordOp(obs.QWrite, 2, time.Since(start))
 	q.retire(s)
 	return ts, q.wid, nil
+}
+
+// nextTS picks a write's timestamp: one past both the query's maximum
+// and the client's stamp floor, which it raises to the result. Two
+// concurrent writes on one client can query the same maximum; the floor
+// still hands them distinct timestamps. Ordering is plain ABD's: the
+// result exceeds every stamp the query majority held, so a write that
+// starts after another completes still orders after it.
+//
+//bloom:noalloc
+func (q *QClient) nextTS(best int64) int64 {
+	for {
+		last := q.lastTS.Load()
+		ts := max(best, last) + 1
+		if q.lastTS.CompareAndSwap(last, ts) {
+			return ts
+		}
+	}
 }
 
 // noQuorumErr builds the per-replica-attributed quorum failure (cold

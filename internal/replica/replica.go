@@ -16,6 +16,8 @@
 //
 //	Write(v): query a majority for timestamps; pick ts = max+1 with the
 //	  client's writer id as tiebreak; qwrite (ts, wid, v) to a majority.
+//	  (ts also exceeds every timestamp the client has used before, so
+//	  concurrent writes on one client never share a (ts, wid).)
 //	Read(): query a majority for triples; pick the lexicographic max;
 //	  write the max back to a majority (so a once-read value is at a
 //	  majority and no later read returns anything older); return it.
@@ -38,20 +40,20 @@
 //
 // ModeABD is the baseline above. ModeFast (after Huang–Huang–Wei,
 // "Fine-grained Analysis on Fast Implementations of Distributed
-// Multi-writer Atomic Registers") is toggled per client and measured
-// against it in `bloombench -replica`: when every reply in a read's
-// query majority agrees on (ts, wid), the value is already at a majority
-// and the write-back phase is provably redundant — the read completes in
-// ONE round. Under low write contention almost every read takes the fast
-// path. The engine extends this with write-back ELISION: completed
-// writes, write-backs, and unanimous queries raise a per-client acked
-// watermark (the newest (ts, wid) a full quorum is known to hold), and a
-// read whose candidate is covered by the watermark skips its write-back
-// even when the query replies disagree — repeat reads of a settled
-// register take the one-round path despite a lagging replica. Sound
-// because q-cells are monotone: the watermark quorum holds >= that stamp
-// forever, and every later read's majority intersects it, so the
-// new-old-inversion guard is preserved.
+// Multi-writer Atomic Registers") is toggled per client (bench/'s
+// cluster-read workload runs it, cluster-write runs ModeABD): when every
+// reply in a read's query majority agrees on (ts, wid), the value is
+// already at a majority and the write-back phase is provably redundant —
+// the read completes in ONE round. Under low write contention almost
+// every read takes the fast path. The engine extends this with
+// write-back ELISION: completed writes, write-backs, and unanimous
+// queries raise a per-client acked watermark (the newest (ts, wid) a
+// full quorum is known to hold), and a read whose candidate is covered
+// by the watermark skips its write-back even when the query replies
+// disagree — repeat reads of a settled register take the one-round path
+// despite a lagging replica. Sound because q-cells are monotone: the
+// watermark quorum holds >= that stamp forever, and every later read's
+// majority intersects it, so the new-old-inversion guard is preserved.
 //
 // # Combining
 //
@@ -144,9 +146,10 @@ type Options struct {
 	// Mode selects the protocol variant. Default ModeABD.
 	Mode Mode
 	// WriterID breaks timestamp ties between concurrent writers and MUST
-	// be distinct per writing client of one register: two writers sharing
+	// be distinct per writing client of one register: two clients sharing
 	// an id could install different values under one (ts, wid), which no
-	// linearization explains.
+	// linearization explains. Concurrent writes on ONE client are safe:
+	// its stamp floor gives each its own timestamp.
 	WriterID uint32
 	// Register names the register instance on the replicas (netreg
 	// AddRegister); "" is every store's default register.

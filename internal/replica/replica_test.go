@@ -68,12 +68,16 @@ const fastTimeout = 300 * time.Millisecond
 
 // TestQuorumModesReadWrite drives each protocol variant through writes
 // and reads on a healthy cluster: reads return the latest written value
-// and stamps never regress.
+// and stamps never regress. Round counts are pinned too: every write
+// takes exactly 2 rounds, and so does every ModeABD read — serial reads
+// cannot combine and ABD never elides (TestFastPathOneRound pins the
+// fast mode's one-round read).
 func TestQuorumModesReadWrite(t *testing.T) {
 	for _, mode := range []replica.Mode{replica.ModeABD, replica.ModeFast} {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := startCluster(t, 3, "v0")
-			q, err := replica.Dial(c.addrs, replica.Options{Mode: mode, WriterID: 1, Timeout: fastTimeout})
+			tally := obs.NewReplica(3)
+			q, err := replica.Dial(c.addrs, replica.Options{Mode: mode, WriterID: 1, Tally: tally, Timeout: fastTimeout})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,6 +104,14 @@ func TestQuorumModesReadWrite(t *testing.T) {
 				}
 				if rts != lastTS || rwid != lastWID {
 					t.Fatalf("read %d stamp (%d,%d), want (%d,%d)", k, rts, rwid, lastTS, lastWID)
+				}
+			}
+			if n, r := tally.Ok(obs.QWrite), tally.Rounds(obs.QWrite); n != 10 || r != 2*n {
+				t.Errorf("%d writes took %d rounds, want 10 writes of 2 rounds each", n, r)
+			}
+			if mode == replica.ModeABD {
+				if n, r := tally.Ok(obs.QRead), tally.Rounds(obs.QRead); n != 10 || r != 2*n {
+					t.Errorf("%d ABD reads took %d rounds, want 10 reads of 2 rounds each", n, r)
 				}
 			}
 		})
@@ -189,14 +201,16 @@ func TestFastPathOneRound(t *testing.T) {
 // TestCrashSoakQuorumAtomic is the tentpole acceptance test, meant for
 // -race: an m=5 cluster with a seeded kill plan crashing f=2 replicas
 // permanently mid-stream while two writers and two readers (each pair
-// one ABD and one Fast client) hammer the register. Every logical operation must keep succeeding, stamps
-// must never regress per client, and the merged per-replica journals
-// plus the quorum clients' logical journal must certify atomic online.
+// one ABD and one Fast client) hammer the register. Every logical
+// operation must keep succeeding, stamps must never regress per client,
+// every (ts, wid) must carry one value, and the merged per-replica
+// journals plus the quorum clients' logical journal must certify atomic
+// online.
 func TestCrashSoakQuorumAtomic(t *testing.T) {
 	const (
 		m            = 5
 		f            = 2
-		opsPerClient = 60
+		opsPerClient = 500
 	)
 	c := startCluster(t, m, "v0")
 	initJSON, _ := json.Marshal("v0")
@@ -232,7 +246,8 @@ func TestCrashSoakQuorumAtomic(t *testing.T) {
 		clients[i] = q
 	}
 
-	kills := faultnet.PlanKills(20260808, m, f, 250*time.Millisecond)
+	// The kills land anywhere in the run's first opsPerClient × 2ms.
+	kills := faultnet.PlanKills(20260808, m, f, opsPerClient*2*time.Millisecond)
 	var killed sync.Map
 	stop := faultnet.Schedule(kills, func(r int) {
 		killed.Store(r, true)
@@ -240,6 +255,7 @@ func TestCrashSoakQuorumAtomic(t *testing.T) {
 	})
 	defer stop()
 
+	var log stampLog
 	var wg sync.WaitGroup
 	errs := make(chan error, len(clients))
 	for i, q := range clients {
@@ -250,19 +266,21 @@ func TestCrashSoakQuorumAtomic(t *testing.T) {
 			var lastTS int64
 			var lastWID uint32
 			for k := 0; k < opsPerClient; k++ {
+				var v []byte
 				var ts int64
 				var wid uint32
 				var err error
 				if writer {
-					v, _ := json.Marshal(fmt.Sprintf("c%d-%d", i, k))
+					v, _ = json.Marshal(fmt.Sprintf("c%d-%d", i, k))
 					ts, wid, err = q.WriteStamped(v)
 				} else {
-					_, ts, wid, err = q.ReadStamped()
+					v, ts, wid, err = q.ReadStamped()
 				}
 				if err != nil {
 					errs <- fmt.Errorf("client %d op %d: %w", i, k, err)
 					return
 				}
+				log.add(writer, ts, wid, v)
 				if ts < lastTS || (ts == lastTS && wid < lastWID) {
 					errs <- fmt.Errorf("client %d op %d: stamp regressed (%d,%d) -> (%d,%d)", i, k, lastTS, lastWID, ts, wid)
 					return
@@ -280,6 +298,9 @@ func TestCrashSoakQuorumAtomic(t *testing.T) {
 		}
 	}
 	stop()
+	if err := log.oneValuePerStamp(string(initJSON)); err != nil {
+		t.Error(err)
+	}
 
 	// The soak must actually have crashed replicas mid-stream.
 	nKilled := 0
