@@ -61,14 +61,15 @@ func TestSelfHost(t *testing.T) {
 		})
 	}
 	// A clean seqlock run proves nothing about a register the analyzer
-	// does not recognise: pin that it checks register.Seqlock's Write
-	// and Read, so a layout change cannot drop them out of checking.
+	// does not recognise: pin that it checks register.Seqlock's Write,
+	// Read and ReadSince, so a layout change cannot drop them out of
+	// checking.
 	t.Run("seqlock-coverage", func(t *testing.T) {
 		res, err := l.Result(seqlock.Analyzer, "repro/internal/register")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := &seqlock.Roles{Writers: []string{"Write"}, Readers: []string{"Read"}}
+		want := &seqlock.Roles{Writers: []string{"Write"}, Readers: []string{"Read", "ReadSince"}}
 		if got := res.(seqlock.Result)["Seqlock"]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("seqlock analyzer checked register.Seqlock as %+v, want %+v", got, want)
 		}

@@ -32,7 +32,7 @@ func TestSeqlock(t *testing.T) {
 		},
 		"packed": {
 			Writers: []string{"writeGood", "writeLate"},
-			Readers: []string{"readGood", "readUnchecked"},
+			Readers: []string{"readGood", "readUnchecked", "readSinceGood", "readSinceUnchecked"},
 		},
 	}
 	if got := res.(seqlock.Result); !reflect.DeepEqual(got, want) {

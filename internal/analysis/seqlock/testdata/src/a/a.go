@@ -192,6 +192,47 @@ func (r *packed) readUnchecked() [4]uint64 { // want `copies the slots but never
 	return out
 }
 
+// readSinceGood is the shape of internal/register.Seqlock.ReadSince: an
+// unchanged version hands back the caller's snapshot, and anything else
+// copies and re-checks.
+func (r *packed) readSinceGood(snap *[4]uint64, ver *uint64) [4]uint64 { // clean
+	v1 := r.version.Load()
+	if v1 == *ver {
+		return *snap
+	}
+	n := r.nwords
+	for {
+		base := int(v1&1) * n
+		var out [4]uint64
+		for i := 0; i < n; i++ {
+			out[i] = r.words[base+i].Load()
+		}
+		v2 := r.version.Load()
+		if v2 == v1 {
+			*snap, *ver = out, v1
+			return out
+		}
+		v1 = v2
+	}
+}
+
+// readSinceUnchecked compares the version with the snapshot's, but keeps
+// and returns a copy it never re-checked.
+func (r *packed) readSinceUnchecked(snap *[4]uint64, ver *uint64) [4]uint64 { // want `re-checks the version counter before the slot copy completes`
+	v1 := r.version.Load()
+	if v1 == *ver {
+		return *snap
+	}
+	n := r.nwords
+	base := int(v1&1) * n
+	var out [4]uint64
+	for i := 0; i < n; i++ {
+		out[i] = r.words[base+i].Load()
+	}
+	*snap, *ver = out, v1
+	return out
+}
+
 // notASeqlock has atomic words but no version counter; its methods are
 // unconstrained.
 type notASeqlock struct {

@@ -84,10 +84,10 @@ func ChanWriterRead(i int) history.ProcID { return history.ProcID(-(i + 1)) }
 type TwoWriter[V comparable] struct {
 	regs    [2]register.Reg[Tagged[V]]
 	stamped [2]register.Stamped[Tagged[V]] // non-nil when regs[i] supports stamps
-	// Devirtualized handles to the lock-free substrates: readReg and
-	// writeReg dispatch through these concrete pointers when set, so the
-	// hot path is a direct — inlinable — load or store instead of an
-	// interface call.
+	// Devirtualized handles to the lock-free substrates: readReg,
+	// writeReg and the handles' snapshot reads dispatch through these
+	// concrete pointers when set, so the hot path is a direct call
+	// instead of an interface call.
 	fastP [2]*register.Pointer[Tagged[V]]
 	fastS [2]*register.Seqlock[Tagged[V]]
 
@@ -252,11 +252,12 @@ func New[V comparable](n int, v0 V, opts ...Option[V]) *TwoWriter[V] {
 	if c.record {
 		t.rec = newRecorder[V](c.seq)
 	}
-	t.writers[0] = &Writer[V]{tw: t, i: 0, local: Tagged[V]{Val: v0}}
-	t.writers[1] = &Writer[V]{tw: t, i: 1, local: Tagged[V]{Val: v0}}
+	for i := range t.writers {
+		t.writers[i] = &Writer[V]{tw: t, i: i, local: Tagged[V]{Val: v0}, otherVer: register.NoSnapshot}
+	}
 	t.readers = make([]*Reader[V], n)
 	for j := 1; j <= n; j++ {
-		t.readers[j-1] = &Reader[V]{tw: t, j: j}
+		t.readers[j-1] = &Reader[V]{tw: t, j: j, ver: [2]uint64{register.NoSnapshot, register.NoSnapshot}}
 	}
 	return t
 }

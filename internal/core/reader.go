@@ -12,9 +12,18 @@ const ReaderSteps = 4
 
 // Reader is the handle for one of the n dedicated readers. A Reader models
 // a sequential automaton: calls on one Reader must not overlap.
+//
+// On FastSeqlock every read may store a snapshot, so the handle is padded
+// like Writer: no other object shares a line with its fields.
 type Reader[V comparable] struct {
+	_  [cacheLine]byte
 	tw *TwoWriter[V]
 	j  int // reader index, 1..n; also the read port on each real register
+	// snap[k] is this reader's last copy of Regk and ver[k] the version
+	// it was validated at (FastSeqlock only; see register.ReadSince).
+	snap [2]Tagged[V]
+	ver  [2]uint64
+	_    [cacheLine]byte
 }
 
 // Index returns the reader's index j (1-based).
@@ -115,11 +124,19 @@ func (r *Reader[V]) read(steps int) (V, bool) {
 
 // readFast is the complete read with recording off: the three protocol
 // reads and nothing else (building a ReadRec costs more than the protocol
-// itself on the lock-free substrates).
+// itself on the lock-free substrates). On FastSeqlock each real read goes
+// through the reader's snapshot of that register, so the third read, of a
+// register read one step earlier, is usually a single load.
 //
 //bloom:waitfree
 func (r *Reader[V]) readFast() V {
 	tw := r.tw
+	if s := &tw.fastS; s[0] != nil && s[1] != nil {
+		a := s[0].ReadSince(r.j, &r.snap[0], &r.ver[0])
+		b := s[1].ReadSince(r.j, &r.snap[1], &r.ver[1])
+		t := a.Tag ^ b.Tag
+		return s[t].ReadSince(r.j, &r.snap[t], &r.ver[t]).Val
+	}
 	a, _ := tw.readReg(0, r.j)
 	b, _ := tw.readReg(1, r.j)
 	c, _ := tw.readReg(int(a.Tag^b.Tag), r.j)

@@ -12,7 +12,10 @@ package core_test
 //     the actual lock-free memory operations instead of the step machine's
 //     model of them.
 //  2. Randomized concurrent workloads per substrate, checked exhaustively.
-//  3. A -race soak: two writers and four readers hammer a fast-substrate
+//  3. Randomized concurrent workloads on the unrecorded fast paths, the
+//     ones the benchmark runs, recorded from outside the register and
+//     checked exhaustively.
+//  4. A -race soak: two writers and four readers hammer a fast-substrate
 //     TwoWriter with no gating and no recording, with per-writer
 //     monotonicity as the checked invariant (and the race detector
 //     checking everything else).
@@ -20,11 +23,13 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/atomicity"
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/register"
 	"repro/internal/sched"
 )
@@ -255,6 +260,74 @@ func TestSubstrateQuickWorkloads(t *testing.T) {
 				}
 				if !res.Linearizable {
 					t.Fatalf("substrate %v, seed %d: non-atomic history", s, seed)
+				}
+			}
+		})
+	}
+}
+
+// TestUnrecordedFastPathAtomic checks the paths the benchmark runs. With
+// recording on, every real access goes through readReg, so the tests above
+// never reach the unrecorded fast paths or FastSeqlock's snapshot reads.
+// Here the register records nothing. Each Writer.Write and Reader.Read is
+// wrapped in a history.Recorder instead: invoke before the call, respond
+// after it, both drawn from one sequencer. The recorded history then orders
+// two operations only if they were ordered in real time, and it is checked
+// exhaustively. Each goroutine yields before every operation, so a
+// reader's operations interleave with the writers' instead of finishing in
+// one time slice. FastPointer, which has no snapshots, is the reference.
+func TestUnrecordedFastPathAtomic(t *testing.T) {
+	const seeds = 200
+	for _, s := range []core.Substrate{core.FastPointer, core.FastSeqlock} {
+		s := s
+		t.Run(s.String(), func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(0); seed < seeds; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				readers := 1 + rng.Intn(2)
+				writes := 1 + rng.Intn(4)
+				reads := 2 + rng.Intn(5)
+				tw := core.New(readers, 0, core.WithSubstrate[int](s))
+				rec := history.NewRecorder[int](new(history.Sequencer))
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for i := 0; i < 2; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						w, ch := tw.Writer(i), history.ProcID(i)
+						<-start
+						for k := 0; k < writes; k++ {
+							v := 1 + i*100 + k
+							runtime.Gosched()
+							id, _ := rec.InvokeWrite(ch, v)
+							w.Write(v)
+							rec.RespondWrite(ch, id)
+						}
+					}(i)
+				}
+				for j := 1; j <= readers; j++ {
+					wg.Add(1)
+					go func(j int) {
+						defer wg.Done()
+						r, ch := tw.Reader(j), core.ChanReader(j)
+						<-start
+						for k := 0; k < reads; k++ {
+							runtime.Gosched()
+							id, _ := rec.InvokeRead(ch)
+							rec.RespondRead(ch, id, r.Read())
+						}
+					}(j)
+				}
+				close(start)
+				wg.Wait()
+				h := rec.Snapshot()
+				res, err := atomicity.CheckHistory(&h, 0)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if !res.Linearizable {
+					t.Fatalf("substrate %v, seed %d: non-atomic history on the unrecorded path", s, seed)
 				}
 			}
 		})

@@ -18,15 +18,20 @@ const cacheLine = 64
 // sequential automaton: calls on one Writer must not overlap (calls on the
 // two distinct writers, and on any readers, run fully concurrently).
 //
-// Every write stores local, and New allocates the two handles back to
-// back. The pads on both sides keep a handle's fields off every line that
-// holds another object, so one writer's store never invalidates the line
-// the other writer reads its own handle from.
+// Every write stores local, and on FastSeqlock may refresh the snapshot
+// of Reg¬i; New allocates the two handles back to back. The pads on both
+// sides keep a handle's fields off every line that holds another object,
+// so one writer's store never invalidates the line the other writer reads
+// its own handle from.
 type Writer[V comparable] struct {
 	_     [cacheLine]byte
 	tw    *TwoWriter[V]
 	i     int       // writer index, 0 or 1
 	local Tagged[V] // copy of own real register's content
+	// other is this writer's last copy of Reg¬i and otherVer the version
+	// it was validated at (FastSeqlock only; see register.ReadSince).
+	other    Tagged[V]
+	otherVer uint64
 	// virtualReads counts simulated-read register accesses served from
 	// the local copy instead of shared memory (writer-as-reader
 	// optimization).
@@ -143,8 +148,13 @@ func (w *Writer[V]) write(v V, steps int) bool {
 //bloom:waitfree
 func (w *Writer[V]) writeFast(v V) bool {
 	tw := w.tw
-	// read t', v' from Reg¬i
-	tv, _ := tw.readReg(1-w.i, 0)
+	// read t', v' from Reg¬i, through the snapshot on FastSeqlock
+	var tv Tagged[V]
+	if s := tw.fastS[1-w.i]; s != nil {
+		tv = s.ReadSince(0, &w.other, &w.otherVer)
+	} else {
+		tv, _ = tw.readReg(1-w.i, 0)
+	}
 	// t := i ⊕ t'; write (t, v) to Regi
 	content := Tagged[V]{Val: v, Tag: uint8(w.i) ^ tv.Tag}
 	tw.writeReg(w.i, content)

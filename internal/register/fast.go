@@ -18,8 +18,10 @@
 //     so a register of up to three words is one cache line. Writes are
 //     alloc-free and wait-free; reads are alloc-free and retry only when
 //     two writes land inside one read, which the single-writer discipline
-//     makes rare and bounded in practice. T must be pointer-free (checked
-//     at construction).
+//     makes rare and bounded in practice. A reader that keeps its last
+//     copy reads through ReadSince, and a read of an unchanged register
+//     is then one load of the version. T must be pointer-free (checked at
+//     construction).
 //
 // Neither register can stamp its accesses, so runs over them are checked
 // with the exhaustive checker (CheckAtomic) rather than certified by
@@ -155,7 +157,10 @@ const seqlockMaxWords = 32
 // the slot the read is in, and the version check catches it). Writes are
 // alloc-free and wait-free — one plain load, the word stores, one atomic
 // increment; reads are alloc-free and lock-free, with retries bounded by
-// the writer's progress.
+// the writer's progress. The same two facts, a version that only grows
+// and a slot that is never stored into while the version names it, let
+// ReadSince hand a reader back the copy it validated earlier after one
+// load, for as long as the version has not moved.
 //
 // The version word is followed directly by both slots, packed into one
 // word array: slot s is words[s*nwords : (s+1)*nwords]. On 64-bit
@@ -268,6 +273,54 @@ func (r *Seqlock[T]) Read(port int) T {
 			// apparently descheduled mid-store; let it run rather
 			// than burning the core.
 			runtime.Gosched()
+		}
+	}
+}
+
+// NoSnapshot is the version a ReadSince snapshot starts from: the first
+// ReadSince through it copies the register. Versions count writes up from
+// 0 and never reach it.
+const NoSnapshot = ^uint64(0)
+
+// ReadSince is Read for a reader that keeps its last copy of the value in
+// *snap and the version that copy was validated at in *ver (NoSnapshot
+// before the first call). When the version still equals *ver, it returns
+// *snap after that one load. Otherwise it copies and re-checks exactly as
+// Read does, and refreshes *snap and *ver. Either way it counts one read
+// on port.
+//
+// Reusing the copy is atomic. The register has one writer, its version
+// only grows, and the writer never stores into the slot the current
+// version names. So the value validated at version v stays the register's
+// value while the version reads v, and a read that loads v returns it and
+// linearizes at that load. *snap and *ver belong to one sequential reader.
+//
+//bloom:waitfree
+//bloom:noalloc
+func (r *Seqlock[T]) ReadSince(port int, snap *T, ver *uint64) T {
+	if r.c != nil {
+		r.c.reads[port].v.Add(1)
+	}
+	v1 := r.version.Load()
+	if v1 == *ver {
+		return *snap
+	}
+	var buf wordBuf[T]
+	p := unsafe.Pointer(&buf)
+	n := r.nwords
+	for spins := 0; ; spins++ {
+		base := int(v1&1) * n
+		for i := 0; i < n; i++ {
+			*(*uint64)(unsafe.Add(p, i*8)) = r.words[base+i].Load()
+		}
+		v2 := r.version.Load()
+		if v2 == v1 {
+			*snap, *ver = buf.val, v1
+			return buf.val
+		}
+		v1 = v2
+		if spins > 64 {
+			runtime.Gosched() // as in Read
 		}
 	}
 }

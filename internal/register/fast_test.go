@@ -7,18 +7,43 @@ import (
 )
 
 // fastRegs builds one of each lock-free register over ports read ports so
-// shared contract tests can sweep both.
+// shared contract tests can sweep them, the seqlock twice: once read with
+// Read and once with ReadSince.
 func fastRegs(t *testing.T, ports int, initial int, opts ...FastOption) map[string]Reg[int] {
 	t.Helper()
 	sl, err := NewSeqlock(ports, initial, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	since, err := NewSeqlock(ports, initial, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]Reg[int]{
-		"pointer": NewPointer(ports, initial, opts...),
-		"seqlock": sl,
+		"pointer":       NewPointer(ports, initial, opts...),
+		"seqlock":       sl,
+		"seqlock-since": newSinceReg(since, ports),
 	}
 }
+
+// sinceReg reads a Seqlock through ReadSince with one snapshot per port,
+// so the Reg contract tests cover the snapshot read. Like a reader handle,
+// each port's snapshot belongs to one goroutine at a time.
+type sinceReg struct {
+	*Seqlock[int]
+	snap []int
+	ver  []uint64
+}
+
+func newSinceReg(r *Seqlock[int], ports int) *sinceReg {
+	s := &sinceReg{Seqlock: r, snap: make([]int, ports), ver: make([]uint64, ports)}
+	for p := range s.ver {
+		s.ver[p] = NoSnapshot
+	}
+	return s
+}
+
+func (s *sinceReg) Read(port int) int { return s.ReadSince(port, &s.snap[port], &s.ver[port]) }
 
 func TestFastSequential(t *testing.T) {
 	for name, r := range fastRegs(t, 2, 10) {
@@ -103,6 +128,58 @@ func TestFastConcurrentReadersOneWriter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSeqlockReadSince pins the snapshot read: it hands back the snapshot
+// after one version load while nothing was written, and copies the
+// register otherwise. Planting a marker in the snapshot tells the two
+// apart: a read that returns the marker did not copy.
+func TestSeqlockReadSince(t *testing.T) {
+	const marker = -1
+	// setup returns a counted register holding 10 and a snapshot of it
+	// validated at version 0, with the marker planted in it.
+	setup := func(t *testing.T) (r *Seqlock[int], snap int, ver uint64) {
+		r = MustSeqlock(1, 10, WithCounters())
+		ver = NoSnapshot
+		if got := r.ReadSince(0, &snap, &ver); got != 10 || snap != 10 || ver != 0 {
+			t.Fatalf("first ReadSince = %d, snapshot (%d, version %d), want 10, (10, 0)", got, snap, ver)
+		}
+		return r, marker, ver
+	}
+	t.Run("unchanged", func(t *testing.T) {
+		r, snap, ver := setup(t)
+		if got := r.ReadSince(0, &snap, &ver); got != marker {
+			t.Fatalf("ReadSince of an unwritten register = %d, want the snapshot %d", got, marker)
+		}
+		if n := r.Counters().Reads(0); n != 2 {
+			t.Fatalf("%d reads counted, want 2: a read served from the snapshot still counts", n)
+		}
+	})
+	t.Run("one-write", func(t *testing.T) {
+		r, snap, ver := setup(t)
+		r.Write(20)
+		if got := r.ReadSince(0, &snap, &ver); got != 20 || snap != 20 || ver != 1 {
+			t.Fatalf("ReadSince after one write = %d, snapshot (%d, version %d), want 20, (20, 1)", got, snap, ver)
+		}
+	})
+	t.Run("two-writes", func(t *testing.T) {
+		// The second write reuses slot 0, the slot the snapshot was
+		// copied from.
+		r, snap, ver := setup(t)
+		r.Write(20)
+		r.Write(30)
+		if got := r.ReadSince(0, &snap, &ver); got != 30 || snap != 30 || ver != 2 {
+			t.Fatalf("ReadSince after two writes = %d, snapshot (%d, version %d), want 30, (30, 2)", got, snap, ver)
+		}
+	})
+	t.Run("no-snapshot", func(t *testing.T) {
+		// The sentinel copies even at the initial version.
+		r := MustSeqlock(1, 10)
+		snap, ver := marker, NoSnapshot
+		if got := r.ReadSince(0, &snap, &ver); got != 10 || snap != 10 || ver != 0 {
+			t.Fatalf("ReadSince from NoSnapshot = %d, snapshot (%d, version %d), want 10, (10, 0)", got, snap, ver)
+		}
+	})
 }
 
 // TestSeqlockWideValue exercises a multi-word pointer-free value, where
