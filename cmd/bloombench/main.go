@@ -9,7 +9,6 @@
 //
 //	bloombench [-ops N] [-json]
 //	bloombench -faults [-ops N] [-json]
-//	bloombench -net [-ops N] [-json]
 //	bloombench -certify [-ops N] [-json]
 //	bloombench -serve :8080
 //
@@ -22,11 +21,6 @@
 // protocol over seeded faulty links (drops, severed connections) with
 // retrying clients, certifying the recovered history with proof.Certify.
 // Combined with -json it writes BENCH_fault.json.
-//
-// With -net, bloombench instead runs the T-net table: single-connection
-// write throughput swept across pipeline depth (1, 8, 64), a
-// multi-register fan-out behind one listener, and a certified pipelined
-// two-writer run. Combined with -json it writes BENCH_net.json.
 //
 // With -certify, bloombench instead runs the T-certify table: a journaled
 // closed-loop run through netreg.Client checked offline as one history
@@ -77,9 +71,8 @@ func counters(reg *atomicregister.TwoWriter[int]) (*register.Counters, *register
 
 func run() error {
 	ops := flag.Int("ops", 100000, "operations per measurement")
-	jsonOut := flag.Bool("json", false, "also write BENCH_substrates.json and BENCH_obs.json (or BENCH_fault.json / BENCH_net.json with -faults / -net)")
+	jsonOut := flag.Bool("json", false, "also write BENCH_substrates.json and BENCH_obs.json (or BENCH_fault.json with -faults)")
 	faults := flag.Bool("faults", false, "run the T-fault table (faulty-link recovery) instead of the default tables")
-	netSweep := flag.Bool("net", false, "run the T-net table (pipeline depth throughput) instead of the default tables")
 	certify := flag.Bool("certify", false, "run the T-certify table (journal + linearizability checking) instead of the default tables")
 	serveAddr := flag.String("serve", "", "serve /metrics, /vars, and /debug/pprof/ on this address instead of running the tables")
 	flag.Parse()
@@ -89,9 +82,6 @@ func run() error {
 	}
 	if *faults {
 		return faultTable(*ops, *jsonOut)
-	}
-	if *netSweep {
-		return netTable(*ops, *jsonOut)
 	}
 	if *certify {
 		return certifyTable(*ops, *jsonOut)

@@ -38,15 +38,6 @@ func TestFaultTableSmoke(t *testing.T) {
 	}
 }
 
-// TestNetTableSmoke runs the -net mode end to end with a tiny op count:
-// the certified pipelined run inside it self-checks, so "no error" is the
-// whole assertion.
-func TestNetTableSmoke(t *testing.T) {
-	if err := netTable(50, false); err != nil {
-		t.Fatalf("netTable: %v", err)
-	}
-}
-
 // TestObservedScript checks the release-script expansion that makes the
 // potency-agreement replay exact: the probe release must directly follow
 // each writer's second (write) access and nothing else.

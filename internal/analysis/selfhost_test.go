@@ -24,6 +24,7 @@ var selfhostPkgs = []string{
 	"repro/internal/obs",
 	"repro/internal/core",
 	"repro/internal/wire",
+	"repro/internal/pipe",
 	"repro/internal/netreg",
 	"repro/internal/replica",
 	"repro/internal/linz",

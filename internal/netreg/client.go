@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pipe"
 	"repro/internal/register"
 	"repro/internal/wire"
 )
@@ -142,13 +143,18 @@ func WithBreaker(failures int, cooldown time.Duration) DialOption {
 	}
 }
 
-// Client accesses a remote register over one pipelined connection. Any
-// number of goroutines may call ReadErr/WriteErr concurrently: each
-// request carries a unique id, a writer goroutine multiplexes the frames
-// onto the connection (batching concurrent bursts into one syscall), and
-// a reader goroutine hands each response back to its caller. A single
-// sequential caller gets exactly the old serial behavior; N concurrent
-// callers get a pipeline N deep over the same connection.
+// Client accesses a remote register over one pipelined connection, an
+// internal/pipe Conn: the transport the replica quorum engine runs on
+// too. Any number of goroutines may call ReadErr/WriteErr concurrently.
+// Each round trip takes a pooled record, submits one request to the
+// connection's dispatcher (which batches concurrent bursts into one
+// flush), and sleeps on the record's doorbell until the reader lands the
+// reply there. A single sequential caller gets serial round trips; N
+// concurrent callers get a pipeline N deep over the same connection.
+//
+// The client keeps its own reconnect policy: it dials on demand, one dial
+// at a time, so the circuit breaker decides every dial. A round trip
+// whose deadline passes fails the whole connection.
 //
 // Transport errors are returned from ReadErr/WriteErr after the retry
 // budget (WithRetry) is exhausted; a broken connection is discarded —
@@ -174,8 +180,11 @@ type Client[V any] struct {
 	id         string
 
 	// seq issues request identities: one per logical round trip, reused
-	// across its retries, doubling as the pipeline correlation id.
+	// across its retries.
 	seq atomic.Uint64
+
+	// recs pools the round-trip records replies land in.
+	recs recPool
 
 	// brkMu guards the breaker state; round trips from many goroutines
 	// share it. halfOpen is true while the single post-cooldown probe is
@@ -200,7 +209,7 @@ type Client[V any] struct {
 	// actual dials so a burst of retrying callers shares one reconnect
 	// instead of racing N dials.
 	connMu        sync.Mutex
-	cur           *clientConn
+	cur           *pipe.Conn
 	closed        bool
 	everConnected bool
 	dialMu        sync.Mutex
@@ -270,7 +279,7 @@ func (c *Client[V]) Close() error {
 	c.cur = nil
 	c.connMu.Unlock()
 	if cc != nil {
-		cc.fail(ErrClosed)
+		cc.Fail(ErrClosed)
 	}
 	return nil
 }
@@ -286,7 +295,7 @@ func (c *Client[V]) isClosed() bool {
 // Re-dials after the first successful connect are counted as reconnects.
 // Concurrent callers needing a dial serialize on dialMu and share its
 // result.
-func (c *Client[V]) getConn() (*clientConn, error) {
+func (c *Client[V]) getConn() (*pipe.Conn, error) {
 	c.connMu.Lock()
 	if c.closed {
 		c.connMu.Unlock()
@@ -321,12 +330,14 @@ func (c *Client[V]) getConn() (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netreg: connect %s: %w", c.addr, err)
 	}
-	cc := newClientConn(conn, c.ws)
+	// No read watchdog: every attempt waits under its own deadline and
+	// fails the connection when that passes (none under WithTimeout(0)).
+	cc := pipe.Start(StatConn(conn, c.ws), &c.recs, c.ws, 0)
 
 	c.connMu.Lock()
 	if c.closed {
 		c.connMu.Unlock()
-		cc.fail(ErrClosed)
+		cc.Fail(ErrClosed)
 		return nil, ErrClosed
 	}
 	c.cur = cc
@@ -339,13 +350,13 @@ func (c *Client[V]) getConn() (*clientConn, error) {
 // frame; resynchronizing is impossible, so reconnect instead). Only the
 // given connection is dropped: a racing caller that already dialed a
 // replacement keeps it.
-func (c *Client[V]) dropConn(cc *clientConn, err error) {
+func (c *Client[V]) dropConn(cc *pipe.Conn, err error) {
 	c.connMu.Lock()
 	if c.cur == cc {
 		c.cur = nil
 	}
 	c.connMu.Unlock()
-	cc.fail(err)
+	cc.Fail(err)
 }
 
 // jitterBackoff computes the retry sleep for the given attempt (1-based):
@@ -453,14 +464,17 @@ func (c *Client[V]) roundTrip(req *wire.Request) (wire.Response, error) {
 		return wire.Response{}, err
 	}
 
-	// One request identity for all attempts; the sequence number doubles
-	// as the pipeline correlation id.
-	id := c.seq.Add(1)
-	req.ID, req.Seq = id, id
-	req.Client = c.id
+	// One request identity for all attempts.
+	req.Seq, req.Client = c.seq.Add(1), c.id
 	if req.Reg == "" {
 		req.Reg = c.regName
 	}
+	// Every attempt sends the record's own copy of the value: the caller
+	// may reuse its buffer once Do returns, while a timed-out attempt's
+	// frame can still be on its way to the socket.
+	r := c.recs.Get()
+	defer c.recs.Retire(&r.Rec)
+	r.wval = append(r.wval[:0], req.Val...)
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -473,7 +487,7 @@ func (c *Client[V]) roundTrip(req *wire.Request) (wire.Response, error) {
 			lastErr = err
 		} else {
 			start := time.Now()
-			resp, err := c.do(cc, req)
+			resp, err := c.do(cc, r, req)
 			if c.rpc != nil {
 				outcome := obs.RPCOK
 				switch {
@@ -508,50 +522,102 @@ func (c *Client[V]) roundTrip(req *wire.Request) (wire.Response, error) {
 	return wire.Response{}, lastErr
 }
 
-// do performs one attempt over the given connection: register the call,
-// hand the frame to the writer goroutine, and wait for the reader
-// goroutine to deliver the response — bounded by the client's timeout, so
-// a stalled server surfaces as ErrTimeout rather than a hung caller.
-func (c *Client[V]) do(cc *clientConn, req *wire.Request) (wire.Response, error) {
-	ca := &call{req: req, done: make(chan callResult, 1)}
-	if err := cc.enqueue(ca); err != nil {
-		return wire.Response{}, err
+// do performs one attempt over cc: submit the request under a fresh tag
+// of the op's record and sleep on the record's doorbell, bounded by the
+// client's timeout, so a stalled server surfaces as ErrTimeout rather
+// than a hung caller. The caller fails the connection on any error.
+func (c *Client[V]) do(cc *pipe.Conn, r *rec, req *wire.Request) (wire.Response, error) {
+	it := pipe.Item{Request: *req}
+	r.Mu.Lock()
+	it.ID, it.Val = r.Retag(), r.wval
+	r.Mu.Unlock()
+	var deadline time.Time
+	if c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
 	}
 	c.ws.OpStart()
 	defer c.ws.OpDone()
-
-	var timeoutC <-chan time.Time
-	if c.timeout > 0 {
-		t := time.NewTimer(c.timeout)
-		defer t.Stop()
-		timeoutC = t.C
+	if !cc.Submit(&r.Rec, it, deadline) {
+		c.recs.Ack(it.ID, nil)
 	}
-	select {
-	case cc.sendq <- ca:
-	case <-cc.down:
-		cc.forget(req.ID)
-		return wire.Response{}, cc.failErr()
-	case <-timeoutC:
-		cc.forget(req.ID)
-		return wire.Response{}, fmt.Errorf("netreg: send: %w", ErrTimeout)
+	if !r.Wait(deadline) {
+		r.Mu.Lock()
+		acked := r.Done // the reply raced the deadline
+		r.Done = true
+		r.Mu.Unlock()
+		if !acked {
+			return wire.Response{}, errReceiveTimeout
+		}
+		r.Drain()
 	}
-	select {
-	case r := <-ca.done:
-		return r.resp, r.err
-	case <-timeoutC:
-		cc.forget(req.ID)
-		return wire.Response{}, fmt.Errorf("netreg: receive: %w", ErrTimeout)
+	if r.failed {
+		if err := cc.Err(); err != nil {
+			return wire.Response{}, err
+		}
+		return wire.Response{}, errSendTimeout // refused by a ring full past the deadline
 	}
+	resp := wire.Response{ID: it.ID, Stamp: r.stamp, WID: r.wid, Err: r.errMsg}
+	if len(r.val) > 0 {
+		resp.Val = append([]byte(nil), r.val...) // Do's caller may retain it
+	}
+	return resp, nil
 }
 
-// wrapTimeout tags deadline expirations with ErrTimeout so callers can
-// errors.Is them without knowing the transport.
-func wrapTimeout(err error) error {
-	var ne net.Error
-	if errors.Is(err, os.ErrDeadlineExceeded) || (errors.As(err, &ne) && ne.Timeout()) {
-		return fmt.Errorf("%w: %w", ErrTimeout, err)
+// Static timeout errors: a timed-out attempt allocates none.
+var (
+	errSendTimeout    = fmt.Errorf("netreg: send: %w", ErrTimeout)
+	errReceiveTimeout = fmt.Errorf("netreg: receive: %w", ErrTimeout)
+)
+
+// rec is one logical round trip's pooled record. Each attempt retags it
+// and sends one item under the new tag; the ack lands the reply here and
+// rings the doorbell. The reply fields are written under Mu by the ack
+// and read by the waiter after the doorbell hands them over, hence the
+// waiver.
+//
+//bloom:allowshared
+type rec struct {
+	pipe.Rec
+	wval   []byte // the request's value (owned; reused across ops)
+	val    []byte // the reply's value (owned; reused across ops)
+	stamp  int64
+	wid    uint32
+	errMsg string
+	failed bool
+}
+
+// recPool is the pipe.Sink of a client's connections.
+type recPool struct {
+	pipe.Pool[rec, *rec]
+}
+
+// Dequeued implements pipe.Sink; a round trip has nothing to seal.
+func (p *recPool) Dequeued(uint64, bool) {}
+
+// Ack implements pipe.Sink: a current ack lands the reply, or the
+// failure, in the attempt's record and rings its doorbell.
+//
+//bloom:noalloc
+func (p *recPool) Ack(id uint64, resp *wire.Response) {
+	r, current := p.Lock(id)
+	if current {
+		r.Done, r.failed = true, resp == nil
+		if resp != nil {
+			r.land(resp)
+		}
+		r.Ring()
 	}
-	return err
+	p.Unlock(&r.Rec)
+}
+
+// land copies a reply into the record; the caller holds Mu. The copy is
+// mandatory: resp.Val aliases the reader's frame buffer, which the next
+// response reuses.
+//
+//bloom:noalloc
+func (r *rec) land(resp *wire.Response) {
+	r.val = append(r.val[:0], resp.Val...)
+	r.stamp, r.wid, r.errMsg = resp.Stamp, resp.WID, resp.Err
 }
 
 // isTimeout reports whether err stems from a deadline expiration.
@@ -564,13 +630,15 @@ func isTimeout(err error) bool {
 // Do performs one logical round trip for a caller-built request,
 // through this client's whole recovery stack (pipelining, retry with
 // per-client jittered backoff, reconnect, circuit breaker, at-most-once
-// dedup identity). The client owns the request's identity: ID, Seq and
-// Client are overwritten. A request that names a register (Reg) goes to
-// it; an empty Reg means the client's register (WithRegister), so one
-// connection can carry traffic for several registers. A server error
-// reply is returned as a non-nil error alongside the response. The
-// response value does not alias the connection's frame buffer and is
-// safe to retain.
+// dedup identity). The client owns the request's identity: Seq and
+// Client are overwritten, and ID is ignored, since each attempt travels
+// under a correlation id of its own. A request that names a register
+// (Reg) goes to it; an empty Reg means the client's register
+// (WithRegister), so one connection can carry traffic for several
+// registers. A server error reply is returned as a non-nil error
+// alongside the response. The response value does not alias the
+// connection's frame buffer and is safe to retain; it is a read's one
+// allocation.
 //
 // The op must be "read", "write", "qread" or "qwrite". Any other op fails
 // at once with an error wrapping wire.ErrUnknownOp; nothing is sent and

@@ -449,3 +449,62 @@ func TestMultiRegisterFanOutCertified(t *testing.T) {
 		t.Fatalf("one-listener two-register run failed certification: %v", err)
 	}
 }
+
+// TestStrayAndDuplicateRepliesDropped pins that the reader hands a reply
+// only to the request it answers. A hand-rolled server first sends a
+// reply nobody asked for, then answers every request twice, each with a
+// stamp that counts requests. Every serial call must come back with its
+// own stamp: a stray or duplicate delivered to the next call would show
+// up as a stale one. The in-flight gauge must end at zero.
+func TestStrayAndDuplicateRepliesDropped(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		rd := wire.NewReader(bufio.NewReader(conn))
+		bw := bufio.NewWriter(conn)
+		wr := wire.NewWriter(bw)
+		stray := wire.Response{ID: ^uint64(0), Stamp: -1}
+		if wr.WriteResponse(&stray) != nil || bw.Flush() != nil {
+			return
+		}
+		for stamp := int64(1); ; stamp++ {
+			var req wire.Request
+			if err := rd.ReadRequest(&req); err != nil {
+				return
+			}
+			resp := wire.Response{ID: req.ID, Stamp: stamp}
+			if wr.WriteResponse(&resp) != nil || wr.WriteResponse(&resp) != nil || bw.Flush() != nil {
+				return
+			}
+		}
+	}()
+
+	ws := obs.NewWire()
+	c, err := netreg.Dial[string](ln.Addr().String(), netreg.WithTimeout(5*time.Second), netreg.WithWireStats(ws))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var req wire.Request
+	for i := int64(1); i <= 200; i++ {
+		req = wire.Request{Op: "read"}
+		resp, err := c.Do(&req)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if resp.Stamp != i {
+			t.Fatalf("call %d got stamp %d, want %d: a stray or duplicate reply was delivered", i, resp.Stamp, i)
+		}
+	}
+	if n := ws.InFlight(); n != 0 {
+		t.Fatalf("in-flight gauge = %d after the last call returned, want 0", n)
+	}
+}

@@ -3,6 +3,7 @@ package netreg_test
 import (
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -132,5 +133,40 @@ func TestRPCStatsHealthyPath(t *testing.T) {
 		if op.Ok > 0 && op.Latency.Count != op.Ok {
 			t.Fatalf("op %s latency count %d != ok count %d", op.Op, op.Latency.Count, op.Ok)
 		}
+	}
+}
+
+// TestStalledServerBoundsGoroutines pins that timed-out round trips leak
+// nothing: each attempt against a server that never replies times out,
+// fails its connection and redials for the next, and the connection's
+// goroutines go with it.
+func TestStalledServerBoundsGoroutines(t *testing.T) {
+	addr := stalledServer(t)
+	base := runtime.NumGoroutine()
+	c, err := netreg.Dial[string](addr, netreg.WithTimeout(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, _, err := c.ReadErr(0); !errors.Is(err, netreg.ErrTimeout) {
+			t.Fatalf("attempt %d: error = %v, want ErrTimeout", i, err)
+		}
+	}
+	// One live connection holds a dispatcher and a reader, plus the stalled
+	// server's goroutine for it; a leak of a connection's goroutines per
+	// attempt would pass the slack within a few attempts.
+	if g := runtime.NumGoroutine(); g > base+20 {
+		t.Errorf("goroutines grew %d -> %d over 20 timed-out attempts", base, g)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base+4 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > base+4 {
+		t.Errorf("goroutines did not drain after Close: %d -> %d", base, g)
 	}
 }

@@ -1,82 +1,41 @@
-// The quorum engine: a persistent, zero-allocation transport for the
-// QClient's phases. Rather than fanning each phase out over fresh
-// goroutines and channels, each replica gets ONE long-lived dispatcher
-// goroutine fed by a mutex-light submission ring (a buffered channel of
-// by-value items) and ONE reader goroutine per connection generation;
-// per-op state lives in pooled records recycled through a freelist;
-// majority completion is an ack counter plus a per-op doorbell channel.
-// Steady-state reads and writes spawn nothing and allocate nothing —
-// proven statically by //bloom:noalloc on the hot path and at runtime by
-// the allocs gate on BenchmarkQuorumRead/BenchmarkQuorumWrite.
+// The quorum engine: the QClient's phases over one internal/pipe Conn
+// per replica, the transport netreg.Client runs on too. Steady-state
+// reads and writes spawn nothing and allocate nothing — proven statically
+// by //bloom:noalloc on the hot path and at runtime by the allocs gate on
+// BenchmarkQuorumRead/BenchmarkQuorumWrite.
 //
-// # Lifecycle of one phase
-//
-// runPhase retags the op's pooled record (invalidating any straggler
-// acks from earlier phases), pushes one subItem per target connection,
-// and sleeps on the record's doorbell with a deadline. Each dispatcher
-// dequeues the item, appends the frame to its connection's write buffer,
-// pushes the request id onto the connection's pending conveyor, and
-// flushes in netreg-style spin-batched bursts. The reader correlates
-// responses to conveyor entries and acks the record: merge the reply's
-// (ts, wid, value) under the record's mutex, bump the ok counter, and on
-// crossing the quorum ring the doorbell exactly once. A failed exchange
-// acks the fail counter instead; crossing the impossibility bound
-// (fails > m - quorum) rings the doorbell with the phase marked failed.
-//
-// # Exactly-once accounting
-//
-// Every enqueued item holds one reference on its record, released by
-// exactly one ack: the reader's response or failure path, the
-// dispatcher's drain of undelivered items while a connection is down,
-// or the submitter's own undo when an enqueue times out before the item
-// ever enters the ring. A record returns to the freelist only when it is
-// retired AND its reference count is zero, so a straggler ack can never
-// touch a record that has been recycled into a different logical op —
-// the tag check just makes the straggler a no-op on the counters.
-//
-// # Straggler retirement
-//
-// A replica that accepts requests but stops answering cannot leak
-// resources: the reader arms a read deadline whenever work is
-// outstanding (armed by the dispatcher on send when the reader is idle,
-// refreshed by the reader on every response), and a deadline expiry with
-// outstanding entries fails the whole connection — every in-flight item
-// is fail-acked, the socket is closed, and the dispatcher redials with
-// backoff. There is no per-op goroutine to leak blocked on a send, and
-// per-conn state is reclaimed on a timeout bound.
+// runPhase retags the op's pooled record (invalidating straggler acks of
+// earlier phases), submits one item per replica, and sleeps on the
+// record's doorbell with a deadline. Each ack merges the reply's
+// (ts, wid, value) under the record's mutex and rings the doorbell as the
+// ok count reaches the quorum, or marks the phase failed as the fail
+// count passes m - quorum. What the engine keeps for itself: the
+// combiner's seal, which fires as a leader's query is dequeued, before
+// any byte of it is written; the read watchdog, which fails a replica
+// connection after timeout-and-a-half of read silence while work is
+// outstanding, retiring a silent replica's stragglers; and the reconnect
+// policy, a background redial with capped backoff while submissions to
+// the dead connection fail at once.
 package replica
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/netreg"
 	"repro/internal/obs"
+	"repro/internal/pipe"
 	"repro/internal/wire"
 )
 
 const (
-	// engineBufSize sizes each connection's read and write buffers
-	// (matches netreg's clientBufSize).
-	engineBufSize = 64 << 10
-	// subDepth bounds each connection's submission ring. A full ring
-	// parks the submitter in a deadline select; it never drops items.
-	subDepth = 256
-	// pendDepth bounds the sent-but-unanswered conveyor between a
-	// dispatcher and its reader.
-	pendDepth = 4096
-	// engineFlushSpins mirrors netreg's flushSpins: scheduler yields
-	// spent re-forming a batch before paying for a flush syscall.
-	engineFlushSpins = 3
-	// defaultTimeout bounds one phase (and one connection's read
-	// silence) when Options.Timeout is zero.
+	// defaultTimeout bounds one phase (and one connection's read silence)
+	// when Options.Timeout is zero.
 	defaultTimeout = time.Second
 	// redialMin/redialMax bound the down-connection redial backoff.
 	redialMin = time.Millisecond
@@ -93,26 +52,12 @@ const (
 // constants, so setting req.Op from here never allocates.
 var qOpName = [...]string{kQRead: "qread", kQWrite: "qwrite"}
 
-// subItem is one replica's share of a phase, passed by value through the
-// submission ring (no boxing, no per-item allocation).
-type subItem struct {
-	s    *opState
-	val  []byte // qwrite payload; aliases s.wval or s.val, pinned by the item's ref
-	ts   int64
-	tag  uint32
-	wid  uint32
-	kind uint8
-	seal bool // first dequeue anywhere seals the combiner (see tryLead)
-}
-
 // opState is one pooled per-op record: phase progress, the running
-// (ts, wid, value) maximum, the doorbell the waiter sleeps on, and the
-// combining hand-off fields. Records are recycled through the arena
-// freelist; the tag distinguishes incarnations so straggler acks from a
-// previous phase (or a previous op) cannot corrupt the current one.
+// (ts, wid, value) maximum, and the combining hand-off fields, behind the
+// pipe.Rec header that carries its doorbell, timer and tag.
 //
-// Every phase field is guarded by mu. Helpers on the ack hot path
-// (merge, and the resolve switch that calls it) run with mu already
+// Every phase field is guarded by Mu. Helpers on the ack hot path
+// (merge, and the resolve switch that calls it) run with Mu already
 // held by the caller — the sharedfield pass's must-hold dataflow is
 // per-function and cannot see a caller-held lock, hence the waiver.
 // The race detector covers the same property dynamically: the whole
@@ -120,20 +65,12 @@ type subItem struct {
 //
 //bloom:allowshared
 type opState struct {
-	slot  uint32
-	db    chan struct{} // doorbell, capacity 1
-	timer *time.Timer   // reused for every deadline wait this op performs
+	pipe.Rec
 
-	mu      sync.Mutex
-	tag     uint32
-	refs    int32
-	retired bool
-
-	// Current phase, guarded by mu.
+	// Current phase, guarded by Mu.
 	phaseKind   uint8
 	need, total int
 	oks, fails  int
-	done        bool
 	phaseFailed bool
 	agree       bool
 	haveBest    bool
@@ -151,40 +88,25 @@ type opState struct {
 	fWID      uint32
 }
 
-// ring rings the doorbell without blocking. Callers hold s.mu and only
-// ring on the done transition, so at most one token is ever pending.
-//
-//bloom:noalloc
-func (s *opState) ring() {
-	select {
-	case s.db <- struct{}{}:
-	default:
-	}
-}
-
 // beginPhase retags the record for a fresh phase, invalidating straggler
-// acks, and returns the new tag.
+// acks, and returns the phase's correlation id.
 //
 //bloom:noalloc
-func (s *opState) beginPhase(kind uint8, need, total int) uint32 {
-	s.mu.Lock()
-	s.tag++
-	tag := s.tag
+func (s *opState) beginPhase(kind uint8, need, total int) uint64 {
+	s.Mu.Lock()
+	id := s.Retag()
 	s.phaseKind = kind
 	s.need, s.total = need, total
 	s.oks, s.fails = 0, 0
-	s.done, s.phaseFailed = false, false
+	s.phaseFailed = false
 	s.agree, s.haveBest = true, false
-	s.mu.Unlock()
-	select { // defensive: no stale token can survive a completed phase
-	case <-s.db:
-	default:
-	}
-	return tag
+	s.Mu.Unlock()
+	s.Drain() // defensive: no stale token can survive a completed phase
+	return id
 }
 
 // merge folds one qread reply into the running maximum. Caller holds
-// s.mu. The value copy is mandatory: resp.Val aliases the reader's frame
+// s.Mu. The value copy is mandatory: resp.Val aliases the reader's frame
 // buffer, which the next ReadResponse reuses.
 //
 //bloom:noalloc
@@ -204,352 +126,68 @@ func (s *opState) merge(resp *wire.Response) {
 	}
 }
 
-// arena pools opState records. Lookup by slot is lock-free (a
-// copy-on-write snapshot of the slot table) because the reader resolves
-// acks on the hot path; get/put take the freelist mutex.
-type arena struct {
-	slots atomic.Pointer[[]*opState]
-
-	mu   sync.Mutex
-	free []uint32
-}
-
-// get pops a recycled record, or grows the arena (the cold, amortized
-// path: steady state always pops).
-//
-//bloom:allowalloc
-func (a *arena) get() *opState {
-	a.mu.Lock()
-	if n := len(a.free); n > 0 {
-		slot := a.free[n-1]
-		a.free = a.free[:n-1]
-		s := (*a.slots.Load())[slot]
-		a.mu.Unlock()
-		s.mu.Lock()
-		s.retired = false
-		s.mu.Unlock()
-		return s
-	}
-	var cur []*opState
-	if sp := a.slots.Load(); sp != nil {
-		cur = *sp
-	}
-	s := &opState{slot: uint32(len(cur)), db: make(chan struct{}, 1)}
-	s.timer = time.NewTimer(time.Hour)
-	s.timer.Stop()
-	grown := make([]*opState, len(cur)+1)
-	copy(grown, cur)
-	grown[len(cur)] = s
-	a.slots.Store(&grown)
-	a.mu.Unlock()
-	return s
-}
-
-// put returns a record to the freelist. Callers guarantee retired &&
-// refs == 0 (the exactly-once recycling condition).
-//
-//bloom:noalloc
-func (a *arena) put(s *opState) {
-	a.mu.Lock()
-	a.free = appendSlot(a.free, s.slot)
-	a.mu.Unlock()
-}
-
-// appendSlot grows the freelist; amortized (the freelist high-water mark
-// is the concurrency level, reached once).
-//
-//bloom:allowalloc
-func appendSlot(free []uint32, slot uint32) []uint32 {
-	return append(free, slot)
-}
-
 // combiner tracks the current unsealed leader read (see tryLead).
 type combiner struct {
 	mu  sync.Mutex
 	cur *opState
 }
 
-// econn is one replica's persistent connection machinery: the submission
-// ring callers push phases onto, the dispatcher goroutine that owns the
-// socket's write side, and one reader goroutine per connection
-// generation. up gates fast-fail submission while the connection is
-// down; armed coordinates the read-deadline watchdog between dispatcher
-// and reader.
+// econn is one replica's connection: the pipe generation phases submit
+// to, and the run goroutine that replaces it when it fails. It is the
+// pipe.Sink of each generation it starts.
 type econn struct {
 	q    *QClient
 	idx  int
 	addr string
-
-	sub   chan subItem
-	pend  chan uint64
-	up    atomic.Bool
-	armed atomic.Bool
+	cur  atomic.Pointer[pipe.Conn]
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
 
 	mu      sync.Mutex
-	lastErr error
+	dialErr error // why the latest redial failed; nil once one succeeds
 }
 
-// fault records the connection's most recent transport error (surfaced
-// through QuorumError).
-func (e *econn) fault(err error) {
-	e.mu.Lock()
-	e.lastErr = err
-	e.mu.Unlock()
+// start runs a pipe generation over conn. The watchdog fails it after
+// timeout-and-a-half of read silence while work is outstanding.
+func (e *econn) start(conn net.Conn) {
+	e.cur.Store(pipe.Start(conn, e, e.q.ws, e.q.timeout+e.q.timeout/2))
 }
 
-// lastError returns the most recent transport error, if any.
-func (e *econn) lastError() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastErr
-}
-
-// dispatch is the connection's owner goroutine: serve the submission
-// ring over one connection generation, tear the generation down on any
-// fault, redial with backoff, repeat. It exits only on Close. Dial marks
-// the first generation up; dispatch marks each redialed one.
-func (e *econn) dispatch(conn net.Conn) {
+// run keeps the replica connected until Close: wait for the current
+// generation to fail, redial with capped backoff, start the next.
+func (e *econn) run() {
 	defer close(e.done)
-	bw := bufio.NewWriterSize(conn, engineBufSize)
-	wr := wire.NewWriter(bw)
-	var req wire.Request
-	req.Reg = e.q.reg
 	for {
-		readerEnd := make(chan struct{})
-		go e.readLoop(conn, readerEnd)
-		e.serve(conn, wr, &req, readerEnd)
-		e.up.Store(false)
-		conn.Close()
-		<-readerEnd   // reader has fail-acked everything it adopted
-		e.drainPend() // fail-ack sent entries the reader never adopted
+		g := e.cur.Load()
 		select {
+		case <-g.Done():
 		case <-e.stop:
-			e.drainSub()
+			g.Fail(netreg.ErrClosed)
+			<-g.Done()
 			return
-		default:
 		}
-		conn = e.redial()
+		conn := e.redial()
 		if conn == nil {
-			e.drainSub()
 			return
 		}
-		bw.Reset(conn)
-		e.up.Store(true)
+		e.start(conn)
 	}
 }
 
-// serve pumps the submission ring onto one connection generation,
-// spin-batching flushes like netreg's writeLoop. It returns when the
-// generation is broken (write fault or reader death) or the client is
-// closing.
-func (e *econn) serve(conn net.Conn, wr *wire.Writer, req *wire.Request, readerEnd chan struct{}) {
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-readerEnd:
-			return
-		case it := <-e.sub:
-			if !e.emit(wr, req, it, readerEnd) {
-				return
-			}
-			for spin := 0; spin < engineFlushSpins; spin++ {
-			drain:
-				for {
-					select {
-					case it := <-e.sub:
-						if !e.emit(wr, req, it, readerEnd) {
-							return
-						}
-						spin = 0
-					default:
-						break drain
-					}
-				}
-				runtime.Gosched()
-			}
-			if err := wr.Flush(); err != nil {
-				e.fault(err)
-				return
-			}
-			e.arm(conn)
-		}
-	}
-}
-
-// emit buffers one item's frame and pushes its id onto the pending
-// conveyor. On failure the item is fail-acked here (it never reached the
-// conveyor, so nobody else will).
-func (e *econn) emit(wr *wire.Writer, req *wire.Request, it subItem, readerEnd chan struct{}) bool {
-	if it.seal {
-		e.q.seal(it.s)
-	}
-	id := uint64(it.tag)<<32 | uint64(it.s.slot)
-	req.ID = id
-	req.Op = qOpName[it.kind]
-	req.TS = it.ts
-	req.WID = it.wid
-	req.Val = it.val
-	if err := wr.WriteRequest(req); err != nil {
-		e.fault(err)
-		e.q.ack(id, false, nil, e.idx)
-		return false
-	}
-	e.q.ws.FrameOut()
-	select {
-	case e.pend <- id:
-		return true
-	case <-readerEnd:
-		e.q.ack(id, false, nil, e.idx)
-		return false
-	}
-}
-
-// arm starts the read-deadline watchdog if the reader is idle: the
-// deadline covers the silence between this send and the first response.
-// The reader takes the watchdog over (refreshing per response) once it
-// has outstanding entries in hand.
-func (e *econn) arm(conn net.Conn) {
-	if e.armed.CompareAndSwap(false, true) {
-		conn.SetReadDeadline(time.Now().Add(e.q.timeout + e.q.timeout/2))
-	}
-}
-
-// readLoop owns the connection's read side for one generation:
-// correlate responses to conveyor entries, ack them, and kill the
-// connection when outstanding work sees read silence past the deadline.
-// Any exit fail-acks every adopted entry exactly once.
-func (e *econn) readLoop(conn net.Conn, end chan struct{}) {
-	defer close(end)
-	rd := wire.NewReader(bufio.NewReaderSize(conn, engineBufSize))
-	var outs []uint64
-	var resp wire.Response
-	for {
-		outs = e.adopt(outs)
-		if len(outs) == 0 {
-			// Disarm before the final adopt: a dispatcher that pushes
-			// after that adopt sees armed == false and arms the deadline
-			// itself, so there is no window where work is outstanding and
-			// no deadline is set.
-			e.armed.Store(false)
-			conn.SetReadDeadline(time.Time{})
-			if outs = e.adopt(outs); len(outs) > 0 {
-				e.rearm(conn)
-			}
-		} else {
-			e.rearm(conn)
-		}
-		if err := rd.ReadResponse(&resp); err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if outs = e.adopt(outs); len(outs) == 0 {
-					// Idle expiry with nothing outstanding: every request
-					// has been answered and consumed, so no frame can be
-					// mid-flight — the stream is clean, keep reading.
-					continue
-				}
-			}
-			e.fault(err)
-			for _, id := range outs {
-				e.q.ack(id, false, nil, e.idx)
-			}
-			return
-		}
-		e.q.ws.FrameIn()
-		i := findID(outs, resp.ID)
-		if i < 0 {
-			outs = e.adopt(outs)
-			i = findID(outs, resp.ID)
-		}
-		if i < 0 {
-			continue // duplicate or unknown id: no entry, no ref, drop it
-		}
-		outs[i] = outs[len(outs)-1]
-		outs = outs[:len(outs)-1]
-		e.q.ack(resp.ID, resp.Err == "", &resp, e.idx)
-	}
-}
-
-// rearm refreshes the watchdog: the connection is failed only after
-// timeout-and-a-half of total read silence while work is outstanding.
-func (e *econn) rearm(conn net.Conn) {
-	e.armed.Store(true)
-	conn.SetReadDeadline(time.Now().Add(e.q.timeout + e.q.timeout/2))
-}
-
-// findID locates id in outs (responses arrive near-FIFO, so the scan is
-// effectively O(1)).
-//
-//bloom:noalloc
-func findID(outs []uint64, id uint64) int {
-	for i, v := range outs {
-		if v == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// adopt drains the pending conveyor into the reader's working set.
-//
-//bloom:allowalloc
-func (e *econn) adopt(outs []uint64) []uint64 {
-	for {
-		select {
-		case id := <-e.pend:
-			outs = append(outs, id)
-		default:
-			return outs
-		}
-	}
-}
-
-// drainPend fail-acks sent entries the dead generation's reader never
-// adopted.
-func (e *econn) drainPend() {
-	for {
-		select {
-		case id := <-e.pend:
-			e.q.ack(id, false, nil, e.idx)
-		default:
-			return
-		}
-	}
-}
-
-// drainSub fail-acks items still sitting in the submission ring (the
-// connection is down or closing; they were never sent). Seal flags still
-// take effect — a combining leader must be sealed even if its query
-// never reached a socket.
-func (e *econn) drainSub() {
-	for {
-		select {
-		case it := <-e.sub:
-			if it.seal {
-				e.q.seal(it.s)
-			}
-			e.q.ack(uint64(it.tag)<<32|uint64(it.s.slot), false, nil, e.idx)
-		default:
-			return
-		}
-	}
-}
-
-// redial reconnects with capped exponential backoff, fail-acking
-// anything submitted meanwhile. Returns nil when the client is closing.
+// redial reconnects with capped exponential backoff. Returns nil when the
+// client is closing.
 func (e *econn) redial() net.Conn {
 	backoff := redialMin
 	for {
-		e.drainSub()
 		conn, err := e.q.dialRaw(e.addr)
+		e.mu.Lock()
+		e.dialErr = err
+		e.mu.Unlock()
 		if err == nil {
 			return conn
 		}
-		e.fault(err)
 		t := time.NewTimer(backoff)
 		select {
 		case <-e.stop:
@@ -561,6 +199,58 @@ func (e *econn) redial() net.Conn {
 			backoff = redialMax
 		}
 	}
+}
+
+// lastError returns why the replica is failing, if it is (surfaced
+// through QuorumError): the latest failed redial, else the current
+// connection's failure.
+func (e *econn) lastError() error {
+	e.mu.Lock()
+	err := e.dialErr
+	e.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return e.cur.Load().Err()
+}
+
+// Dequeued implements pipe.Sink: a combining leader's query seals the
+// combiner as the first dispatcher dequeues it.
+func (e *econn) Dequeued(id uint64, seal bool) {
+	if seal {
+		e.q.seal(e.q.pool.At(id))
+	}
+}
+
+// Ack implements pipe.Sink: it resolves one exchange of a phase. When the
+// ack is current it folds the outcome into the counters, ringing the
+// doorbell on the deciding transition; a reply carrying a server error
+// counts as a failure.
+//
+//bloom:noalloc
+func (e *econn) Ack(id uint64, resp *wire.Response) {
+	ok := resp != nil && resp.Err == ""
+	s, current := e.q.pool.Lock(id)
+	if current {
+		if ok {
+			if s.phaseKind == kQRead {
+				s.merge(resp)
+			}
+			s.oks++
+			if s.oks >= s.need {
+				s.Done = true
+				s.Ring()
+			}
+		} else {
+			s.fails++
+			if s.fails > s.total-s.need {
+				s.Done, s.phaseFailed = true, true
+				s.Ring()
+			}
+		}
+	}
+	e.q.pool.Unlock(&s.Rec)
+	e.q.tally.RecordReplica(e.idx, ok)
 }
 
 // QClient is a quorum client over m replicas, built on the persistent
@@ -587,7 +277,7 @@ type QClient struct {
 	dialer  func(addr string) (net.Conn, error)
 	ws      *obs.Wire
 
-	pool arena
+	pool pipe.Pool[opState, *opState]
 	comb combiner
 
 	// lastTS is the stamp floor: the newest timestamp this client has
@@ -606,8 +296,8 @@ type QClient struct {
 // returns a quorum client over them. Dialing fails if any replica is
 // unreachable at start (a cluster that begins degraded is a deployment
 // error, not a fault to tolerate); after that, a crashed replica
-// degrades to instant local failures while its dispatcher redials with
-// backoff.
+// degrades to instant local failures while it is redialed in the
+// background with backoff.
 func Dial(addrs []string, o Options) (*QClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("replica: no replica addresses")
@@ -626,35 +316,24 @@ func Dial(addrs []string, o Options) (*QClient, error) {
 		dialer:  o.Dialer,
 		ws:      o.Wire,
 	}
-	if o.Journal != nil {
-		q.tap = newQTap(o.Journal, o.Register)
-	}
 	for i, a := range addrs {
-		e := &econn{
-			q:    q,
-			idx:  i,
-			addr: a,
-			sub:  make(chan subItem, subDepth),
-			pend: make(chan uint64, pendDepth),
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
-		}
 		conn, err := q.dialRaw(a)
 		if err != nil {
-			for _, d := range q.conns {
-				d.stopOnce.Do(func() { close(d.stop) })
-			}
-			for _, d := range q.conns {
-				<-d.done
-			}
+			q.Close()
 			return nil, fmt.Errorf("replica: dialing %s: %w", a, err)
 		}
+		e := &econn{q: q, idx: i, addr: a, stop: make(chan struct{}), done: make(chan struct{})}
+		// The socket is open, so the connection is live now: an op issued
+		// as soon as Dial returns queues on its ring instead of failing
+		// fast as if the replica were down.
+		e.start(conn)
 		q.conns = append(q.conns, e)
-		// The socket is open, so the connection is up now: an op issued
-		// as soon as Dial returns queues on the ring for the dispatcher
-		// instead of failing fast as if the replica were down.
-		e.up.Store(true)
-		go e.dispatch(conn)
+		go e.run()
+	}
+	// The journal source opens only once every replica is connected: a
+	// failed Dial must not leave one behind, pinning the journal horizon.
+	if o.Journal != nil {
+		q.tap = newQTap(o.Journal, o.Register)
 	}
 	return q, nil
 }
@@ -685,10 +364,10 @@ func (q *QClient) Quorum() int { return q.quorum }
 // Mode returns the client's protocol variant.
 func (q *QClient) Mode() Mode { return q.mode }
 
-// Close shuts the engine down: every dispatcher tears its connection
-// down, fail-acks whatever is still queued, and exits. Concurrent
-// operations fail with ErrNoQuorum. The journal tap, if any, is closed
-// so it stops holding the journal horizon back.
+// Close shuts the engine down: every replica's connection is failed,
+// which acks whatever is still in flight, and its run goroutine exits.
+// Concurrent operations fail with ErrNoQuorum. The journal tap, if any,
+// is closed so it stops holding the journal horizon back.
 func (q *QClient) Close() error {
 	if q.tap != nil {
 		q.tap.close()
@@ -716,156 +395,35 @@ func (q *QClient) seal(s *opState) {
 	q.comb.mu.Unlock()
 }
 
-// ack resolves one enqueued item: always releases its reference, and —
-// when the tag still matches the record's current phase and the phase is
-// still undecided — folds the outcome into the counters, ringing the
-// doorbell on the deciding transition. Recycles the record when the last
-// straggler of a retired op drains.
-//
-//bloom:noalloc
-func (q *QClient) ack(id uint64, ok bool, resp *wire.Response, idx int) {
-	slot := uint32(id)
-	tag := uint32(id >> 32)
-	sp := q.pool.slots.Load()
-	if sp == nil || int(slot) >= len(*sp) {
-		return
-	}
-	s := (*sp)[slot]
-	s.mu.Lock()
-	s.refs--
-	freeNow := s.retired && s.refs == 0
-	if tag == s.tag && !s.done {
-		if ok {
-			if s.phaseKind == kQRead {
-				s.merge(resp)
-			}
-			s.oks++
-			if s.oks >= s.need {
-				s.done = true
-				s.ring()
-			}
-		} else {
-			s.fails++
-			if s.fails > s.total-s.need {
-				s.done, s.phaseFailed = true, true
-				s.ring()
-			}
-		}
-	}
-	s.mu.Unlock()
-	if freeNow {
-		q.pool.put(s)
-	}
-	q.tally.RecordReplica(idx, ok)
-}
-
-// oneFail counts a target that could not even be submitted to (down
-// connection, full ring): a phase failure with no reference attached.
-//
-//bloom:noalloc
-func (q *QClient) oneFail(s *opState, tag uint32, idx int) {
-	s.mu.Lock()
-	if tag == s.tag && !s.done {
-		s.fails++
-		if s.fails > s.total-s.need {
-			s.done, s.phaseFailed = true, true
-			s.ring()
-		}
-	}
-	s.mu.Unlock()
-	q.tally.RecordReplica(idx, false)
-}
-
-// enqueue pushes one item onto a connection's submission ring: a down
-// connection fails instantly, a full ring parks the submitter until the
-// phase deadline. The reference is taken before the send so the ack can
-// never race the increment; the timeout path undoes it because the item
-// provably never entered the ring.
-//
-//bloom:noalloc
-func (q *QClient) enqueue(e *econn, s *opState, it subItem, deadline time.Time) {
-	if !e.up.Load() {
-		q.oneFail(s, it.tag, e.idx)
-		return
-	}
-	s.mu.Lock()
-	s.refs++
-	s.mu.Unlock()
-	select {
-	case e.sub <- it:
-		return
-	default:
-	}
-	s.timer.Reset(time.Until(deadline))
-	select {
-	case e.sub <- it:
-		s.timer.Stop()
-	case <-s.timer.C:
-		s.mu.Lock()
-		s.refs--
-		s.mu.Unlock()
-		q.oneFail(s, it.tag, e.idx)
-	}
-}
-
 // runPhase runs one quorum round: fan out to every replica and wait for
 // a majority. Returns false when the phase failed (no quorum within the
 // deadline).
 //
 //bloom:noalloc
 func (q *QClient) runPhase(s *opState, kind uint8, ts int64, wid uint32, val []byte, seal bool) bool {
-	tag := s.beginPhase(kind, q.quorum, len(q.conns))
-	it := subItem{s: s, tag: tag, kind: kind, seal: seal, ts: ts, wid: wid, val: val}
+	id := s.beginPhase(kind, q.quorum, len(q.conns))
+	it := pipe.Item{
+		Request: wire.Request{ID: id, Op: qOpName[kind], Reg: q.reg, TS: ts, WID: wid, Val: val},
+		Seal:    seal,
+	}
 	deadline := time.Now().Add(q.timeout)
 	for _, e := range q.conns {
-		q.enqueue(e, s, it, deadline)
-	}
-	s.mu.Lock()
-	done := s.done
-	s.mu.Unlock()
-	if !done {
-		s.timer.Reset(time.Until(deadline))
-		select {
-		case <-s.db:
-			s.timer.Stop()
-		case <-s.timer.C:
-			s.mu.Lock()
-			if !s.done {
-				s.done, s.phaseFailed = true, true
-			}
-			s.mu.Unlock()
+		if !e.cur.Load().Submit(&s.Rec, it, deadline) {
+			e.Ack(id, nil)
 		}
 	}
-	select { // a completion that raced the timeout left its token behind
-	case <-s.db:
-	default:
+	if !s.Wait(deadline) {
+		s.Mu.Lock()
+		if !s.Done {
+			s.Done, s.phaseFailed = true, true
+		}
+		s.Mu.Unlock()
 	}
-	s.mu.Lock()
+	s.Drain() // a completion that raced the timeout left its token behind
+	s.Mu.Lock()
 	failed := s.phaseFailed
-	s.mu.Unlock()
+	s.Mu.Unlock()
 	return !failed
-}
-
-// retire returns a finished op's record to the pool — immediately when
-// no straggler acks are outstanding, otherwise the last straggler does
-// it. The tag bump makes any still-queued item a counted no-op.
-//
-//bloom:noalloc
-func (q *QClient) retire(s *opState) {
-	select {
-	case <-s.db:
-	default:
-	}
-	s.mu.Lock()
-	s.tag++
-	freeNow := s.refs == 0
-	if !freeNow {
-		s.retired = true
-	}
-	s.mu.Unlock()
-	if freeNow {
-		q.pool.put(s)
-	}
 }
 
 // raiseWM advances the acked watermark to (ts, wid) — called only after
@@ -940,7 +498,7 @@ func (q *QClient) deliver(s *opState, ts int64, wid uint32, err error) {
 			f.val = appendVal(f.val[:0], s.val)
 		}
 		f.fDone = true
-		f.ring()
+		f.Ring()
 	}
 	s.followers = s.followers[:0]
 	q.comb.mu.Unlock()
@@ -961,38 +519,31 @@ func appendVal(dst, src []byte) []byte {
 //
 //bloom:noalloc
 func (q *QClient) followWait(s *opState, buf []byte, start time.Time, inv, handle int64) ([]byte, int64, uint32, error) {
-	s.timer.Reset(2*q.timeout + q.timeout/2)
-	select {
-	case <-s.db:
-		s.timer.Stop()
-	case <-s.timer.C:
+	if !s.Wait(time.Now().Add(2*q.timeout + q.timeout/2)) {
 		q.comb.mu.Lock()
 		if !s.fDone {
 			detachFollower(s.leader, s)
 			q.comb.mu.Unlock()
 			q.tally.RecordNoQuorum(obs.QRead)
 			q.tap.record(obs.JRead, nil, inv, handle, true)
-			q.retire(s)
+			q.pool.Retire(&s.Rec)
 			return nil, 0, 0, errCombinedTimeout
 		}
 		q.comb.mu.Unlock()
-		select { // delivery raced the timeout; consume its token
-		case <-s.db:
-		default:
-		}
+		s.Drain() // delivery raced the timeout; consume its token
 	}
 	if s.fErr != nil {
 		err := s.fErr
 		q.tally.RecordNoQuorum(obs.QRead)
 		q.tap.record(obs.JRead, nil, inv, handle, true)
-		q.retire(s)
+		q.pool.Retire(&s.Rec)
 		return nil, 0, 0, err
 	}
 	buf = appendVal(buf[:0], s.val)
 	ts, wid := s.fTS, s.fWID
 	q.tap.record(obs.JRead, buf, inv, handle, false)
 	q.tally.RecordOp(obs.QRead, 0, time.Since(start))
-	q.retire(s)
+	q.pool.Retire(&s.Rec)
 	return buf, ts, wid, nil
 }
 
@@ -1026,7 +577,7 @@ func detachFollower(leader, f *opState) {
 func (q *QClient) ReadInto(buf []byte) ([]byte, int64, uint32, error) {
 	start := time.Now()
 	inv, handle := q.tap.begin()
-	s := q.pool.get()
+	s := q.pool.Get()
 	if !q.tryLead(s) {
 		return q.followWait(s, buf, start, inv, handle)
 	}
@@ -1035,13 +586,13 @@ func (q *QClient) ReadInto(buf []byte) ([]byte, int64, uint32, error) {
 	if err != nil {
 		q.tally.RecordNoQuorum(obs.QRead)
 		q.tap.record(obs.JRead, nil, inv, handle, true)
-		q.retire(s)
+		q.pool.Retire(&s.Rec)
 		return nil, 0, 0, err
 	}
 	buf = appendVal(buf[:0], s.val)
 	q.tap.record(obs.JRead, buf, inv, handle, false)
 	q.tally.RecordOp(obs.QRead, rounds, time.Since(start))
-	q.retire(s)
+	q.pool.Retire(&s.Rec)
 	return buf, ts, wid, nil
 }
 
@@ -1105,7 +656,7 @@ func (q *QClient) Write(val json.RawMessage) error {
 func (q *QClient) WriteStamped(val json.RawMessage) (int64, uint32, error) {
 	start := time.Now()
 	inv, handle := q.tap.begin()
-	s := q.pool.get()
+	s := q.pool.Get()
 	s.wval = appendVal(s.wval[:0], val)
 
 	// Phase 1: learn a timestamp no completed write exceeds.
@@ -1113,7 +664,7 @@ func (q *QClient) WriteStamped(val json.RawMessage) (int64, uint32, error) {
 		err := q.noQuorumErr()
 		q.tally.RecordNoQuorum(obs.QWrite)
 		q.tap.record(obs.JWrite, val, inv, handle, true)
-		q.retire(s)
+		q.pool.Retire(&s.Rec)
 		return 0, 0, err
 	}
 	ts := q.nextTS(s.bestTS)
@@ -1123,13 +674,13 @@ func (q *QClient) WriteStamped(val json.RawMessage) (int64, uint32, error) {
 		err := q.noQuorumErr()
 		q.tally.RecordNoQuorum(obs.QWrite)
 		q.tap.record(obs.JWrite, val, inv, handle, true)
-		q.retire(s)
+		q.pool.Retire(&s.Rec)
 		return 0, 0, err
 	}
 	q.raiseWM(ts, q.wid)
 	q.tap.record(obs.JWrite, val, inv, handle, false)
 	q.tally.RecordOp(obs.QWrite, 2, time.Since(start))
-	q.retire(s)
+	q.pool.Retire(&s.Rec)
 	return ts, q.wid, nil
 }
 

@@ -30,10 +30,11 @@
 //
 // # Transport
 //
-// QClient runs on the quorum engine (engine.go): one long-lived
-// dispatcher goroutine per replica connection fed by a submission ring,
-// pooled per-op records recycled through a freelist, and completion via
-// ack counters and per-op doorbells — zero goroutine spawns and zero
+// QClient runs on the quorum engine (engine.go), over internal/pipe,
+// the pipelined connection netreg.Client runs on too: one dispatcher
+// goroutine per replica connection fed by a submission ring, pooled
+// per-op records recycled through a freelist, and completion via ack
+// counters and per-op doorbells — zero goroutine spawns and zero
 // allocations per steady-state operation.
 //
 // # Modes

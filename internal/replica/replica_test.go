@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -370,5 +372,29 @@ func TestNoQuorumFailsFast(t *testing.T) {
 	// hang: well under the several-second hang a lost phase would cost.
 	if elapsed > 5*time.Second {
 		t.Errorf("no-quorum failure took %v; want fast failure", elapsed)
+	}
+}
+
+// TestFailedDialLeavesNoJournalSource pins that a Dial which fails opens
+// no journal source. A source left open would pin the journal's horizon
+// at its creation instant for good, so an online checker on the journal
+// could never cut a window past it.
+func TestFailedDialLeavesNoJournalSource(t *testing.T) {
+	c := startCluster(t, 1, "v0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+
+	j := obs.NewJournal()
+	q, err := replica.Dial([]string{c.addrs[0], closed}, replica.Options{WriterID: 1, Journal: j})
+	if err == nil {
+		q.Close()
+		t.Fatal("Dial succeeded with a closed port among the replicas")
+	}
+	if h := j.Horizon(); h != math.MaxInt64 {
+		t.Fatalf("journal horizon = %d after a failed Dial, want unbounded: a source was left open", h)
 	}
 }
