@@ -78,6 +78,72 @@ func TestJournalInlineCertified(t *testing.T) {
 	}
 }
 
+// TestJournalForgetsClosedConns pins that a journaled server's journal
+// follows its live connections: each connection's source leaves the
+// journal once the connection is closed and its records are drained,
+// instead of keeping its ring for the journal's life. Drops of removed
+// sources still count, and source ids (one timeline lane each) stay
+// unique across removals.
+func TestJournalForgetsClosedConns(t *testing.T) {
+	j := obs.NewJournal(obs.WithJournalRing(1))
+	srv, err := netreg.NewServer("127.0.0.1:0", "v0", 1, nil, netreg.WithJournal(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	read := func(c *netreg.Client[string]) {
+		t.Helper()
+		if _, _, err := c.ReadErr(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := netreg.Dial[string](srv.Addr(), netreg.WithTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	read(live)
+
+	// Each cycle reads twice into a one-slot ring: one record, one drop.
+	const cycles = 200
+	for i := 0; i < cycles; i++ {
+		c, err := netreg.Dial[string](srv.Addr(), netreg.WithTimeout(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		read(c)
+		read(c)
+		c.Close()
+	}
+
+	lanes := map[uint32]int{}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, s := range j.Sources() {
+			s.Drain(func(r obs.Rec) { lanes[r.Client]++ })
+		}
+		n := len(j.Sources())
+		if n <= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sources left after %d closed connections were drained, want at most 1 (the live one)", n, cycles)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(lanes) != cycles+1 {
+		t.Fatalf("records came from %d distinct source ids, want %d", len(lanes), cycles+1)
+	}
+	for id, n := range lanes {
+		if n != 1 {
+			t.Fatalf("source id %d carried %d records, want 1 (ids reused?)", id, n)
+		}
+	}
+	if got := j.Drops(); got != cycles {
+		t.Fatalf("journal counts %d drops, want %d (drops of removed sources lost?)", got, cycles)
+	}
+}
+
 // TestJournalFlagsDedupReplays re-sends an applied write (same client
 // and seq — what a retrying client does after losing a response) and
 // checks the replay is journaled flagged: the original record already

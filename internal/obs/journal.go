@@ -46,6 +46,8 @@ type Journal struct {
 
 	mu      sync.Mutex
 	sources []*Source
+	nextID  uint32 // the next source's id: ids outlive removed sources
+	dropped uint64 // drops of the sources already removed
 	keys    map[string]uint32
 	names   []string
 	ring    int
@@ -166,7 +168,8 @@ type Source struct {
 
 // Source registers and returns a new producer ring. Sources are cheap but
 // not free (~40 bytes per ring slot); one per connection is the intended
-// grain.
+// grain. A source leaves the journal once it is closed and drained (see
+// Sources), so a journal's footprint follows its live producers.
 func (j *Journal) Source() *Source {
 	n := 1
 	for n < j.ring {
@@ -178,9 +181,10 @@ func (j *Journal) Source() *Source {
 		j:        j,
 		recs:     make([]Rec, n),
 		mask:     uint64(n - 1),
-		id:       uint32(len(j.sources)),
+		id:       j.nextID,
 		interned: make(map[string]uint32),
 	}
+	j.nextID++
 	// A fresh source's first operation is invoked after this instant (its
 	// producer obtains the source before taking any timestamp), so the
 	// creation time is already a sound horizon bound — without it a source
@@ -255,8 +259,8 @@ func (s *Source) Record(rec Rec) {
 
 // RecordOnly publishes one completed operation WITHOUT advancing the
 // horizon bound. Multi-producer taps that serialize through a lock and
-// track their own in-flight minimum (see netreg's gated tap) use it so
-// a completion cannot overclaim past a still-in-flight older invocation;
+// track their own in-flight minimum (see replica's qTap) use it so a
+// completion cannot overclaim past a still-in-flight older invocation;
 // they must pair it with their own Begin calls. The ring publication
 // still precedes any subsequent bound advance in program order, which is
 // what keeps a horizon-then-drain reader from missing the record.
@@ -276,7 +280,7 @@ func (s *Source) RecordOnly(rec Rec) {
 
 // Close marks the source finished: it will never record again, so it no
 // longer holds the journal horizon back. Records already in the ring
-// remain drainable.
+// remain drainable; once they are drained, the source leaves the journal.
 func (s *Source) Close() {
 	s.closed.Store(true)
 	s.lowInv.Store(lowInvClosed)
@@ -306,11 +310,31 @@ func (s *Source) Drain(fn func(Rec)) int {
 	return int(h - t)
 }
 
-// Sources snapshots the journal's source list.
+// Sources snapshots the journal's source list, first removing every
+// source that is closed and fully drained: it can never hold a record
+// again, and keeping it would keep its ring alive for the journal's life.
 func (j *Journal) Sources() []*Source {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.prune()
 	return append([]*Source(nil), j.sources...)
+}
+
+// prune removes the finished sources, keeping their drops in the
+// journal's count. The caller holds mu.
+func (j *Journal) prune() {
+	live := j.sources[:0]
+	for _, s := range j.sources {
+		// closed is loaded first: the producer publishes its last record
+		// before it closes, so the head compared here is final.
+		if s.closed.Load() && s.head.Load() == s.tail.Load() {
+			j.dropped += s.Drops()
+			continue
+		}
+		live = append(live, s)
+	}
+	clear(j.sources[len(live):]) // the backing array must not keep removed rings alive
+	j.sources = live
 }
 
 // Horizon returns the journal's safe-cut bound: every record any live
@@ -326,10 +350,13 @@ func (j *Journal) Horizon() int64 {
 	return h
 }
 
-// Drops sums record drops across all sources.
+// Drops sums record drops across all sources, removed ones included.
 func (j *Journal) Drops() uint64 {
-	var n uint64
-	for _, s := range j.Sources() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.prune()
+	n := j.dropped
+	for _, s := range j.sources {
 		n += s.Drops()
 	}
 	return n

@@ -113,6 +113,38 @@ func TestJournalHorizon(t *testing.T) {
 	}
 }
 
+// TestJournalRemovesFinishedSources pins when a source leaves the
+// journal: only once it is closed and fully drained. A closed source
+// with records buffered stays drainable, a drained one that is still
+// open stays, drops of removed sources still count, and ids are never
+// reused.
+func TestJournalRemovesFinishedSources(t *testing.T) {
+	j := NewJournal(WithJournalRing(1))
+	a, b := j.Source(), j.Source()
+	a.Record(Rec{Inv: 1, Res: 2, Kind: JRead})
+	a.Record(Rec{Inv: 3, Res: 4, Kind: JRead}) // ring full: dropped
+	a.Close()
+	if got := len(j.Sources()); got != 2 {
+		t.Fatalf("%d sources before the drain, want 2 (a closed source keeps its records)", got)
+	}
+	var n int
+	for _, s := range j.Sources() {
+		n += s.Drain(func(Rec) {})
+	}
+	if n != 1 {
+		t.Fatalf("drained %d records, want 1", n)
+	}
+	if got := j.Sources(); len(got) != 1 || got[0] != b {
+		t.Fatalf("sources after the drain = %v, want only the open one", got)
+	}
+	if got := j.Drops(); got != 1 {
+		t.Fatalf("Drops = %d, want 1 (the removed source's drop)", got)
+	}
+	if c := j.Source(); c.ID() == a.ID() || c.ID() == b.ID() {
+		t.Fatalf("new source id %d reuses an earlier source's (%d, %d)", c.ID(), a.ID(), b.ID())
+	}
+}
+
 // TestJournalConcurrentDrain hammers one source from a producer while a
 // consumer drains, asserting no record is lost or reordered. Run with
 // -race this also proves the SPSC ring's happens-before edges.

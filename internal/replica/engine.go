@@ -367,17 +367,16 @@ func (q *QClient) Mode() Mode { return q.mode }
 // Close shuts the engine down: every replica's connection is failed,
 // which acks whatever is still in flight, and its run goroutine exits.
 // Concurrent operations fail with ErrNoQuorum. The journal tap, if any,
-// is closed so it stops holding the journal horizon back.
+// is closed last, so it stops holding the journal horizon back once no
+// operation can still succeed.
 func (q *QClient) Close() error {
-	if q.tap != nil {
-		q.tap.close()
-	}
 	for _, e := range q.conns {
 		e.stopOnce.Do(func() { close(e.stop) })
 	}
 	for _, e := range q.conns {
 		<-e.done
 	}
+	q.tap.close()
 	return nil
 }
 

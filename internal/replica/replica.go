@@ -197,6 +197,7 @@ type qTap struct {
 	mu       sync.Mutex
 	base     int64
 	inflight []qSlot
+	closed   bool // close was called; the source closes once nothing is in flight
 }
 
 type qSlot struct {
@@ -247,17 +248,28 @@ func (t *qTap) record(kind uint8, val json.RawMessage, inv, handle int64, failed
 	// first and drains second, so whatever the bound admits must already
 	// be in the ring.
 	t.src.RecordOnly(rec)
-	if len(t.inflight) > 0 {
+	switch {
+	case len(t.inflight) > 0:
 		t.src.Begin(t.inflight[0].inv)
-	} else {
+	case t.closed:
+		t.src.Close()
+	default:
 		t.src.Begin(t.j.Now())
 	}
 	t.mu.Unlock()
 }
 
-// close marks the tap's source finished.
+// close marks the tap finished. Its source closes now, or with the last
+// in-flight op's record: a closed and drained source leaves the journal,
+// so it must not close while a completion can still be published.
 func (t *qTap) close() {
-	if t != nil {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.closed = true
+	if len(t.inflight) == 0 {
 		t.src.Close()
 	}
+	t.mu.Unlock()
 }
